@@ -42,7 +42,7 @@ pub use schemes::{
     CarPlanner, ChainPlanner, RecoverySite, RepairPlanner, RprPlanner, TraditionalPlanner,
 };
 pub use robust::{
-    crash_candidates, replan_after_crash, resolve, simulate_injected, AttemptFault, CrashFault,
+    check_retry_budget, crash_candidates, replan_after_crash, resolve, simulate_injected, AttemptFault, CrashFault,
     Replan, ResolvedFaults, RobustOutcome,
 };
 pub use sim::{
@@ -50,7 +50,8 @@ pub use sim::{
     SimOutcome,
 };
 pub use supervise::{
-    degraded_client, plan_with_pool, resolve_storm_bucket, supervise_injected, GenFaults,
-    GenerationRecord, PoolReplan, SuperviseConfig, SuperviseOutcome, Tier,
+    plan_with_pool, supervise, supervise_injected, Evidence, Generation, GenerationRecord,
+    GenerationRun, PoolReplan, RepairBackend, SuperviseConfig, SuperviseError, SuperviseOutcome,
+    Tier,
 };
-pub use trace::{combine_kernel, simulate_traced};
+pub use trace::{combine_kernel, plan_built, simulate_traced};

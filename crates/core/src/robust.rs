@@ -476,34 +476,45 @@ pub(crate) fn shift_event(mut event: Event, dt: f64) -> Event {
     event
 }
 
-/// Apply resolved derates and per-op attempt failures to a fresh
-/// simulator holding `jobs` (the chunk jobs of each plan op — a
-/// singleton without streaming). Attempt faults land on the op's *first*
-/// chunk: corruption is detected at the first verified chunk and a
-/// stream resumes from its last verified chunk, so only that chunk's
-/// latency is re-paid. Errors when an op's injected failure count
-/// exhausts the retry budget.
-pub(crate) fn arm_simulator(
-    sim: &mut Simulator,
-    jobs: &[Vec<JobId>],
-    faults: &ResolvedFaults,
+/// Reject a fault set in which some op's injected failures exhaust the
+/// retry budget: that transfer could never succeed.
+pub fn check_retry_budget(
+    op_faults: &[Vec<AttemptFault>],
     policy: &RetryPolicy,
 ) -> Result<(), String> {
+    match op_faults
+        .iter()
+        .enumerate()
+        .find(|(_, fs)| !fs.is_empty() && fs.len() >= policy.max_attempts)
+    {
+        Some((i, fs)) => Err(format!(
+            "op {i}: {} injected failures exhaust the retry budget (max_attempts = {})",
+            fs.len(),
+            policy.max_attempts
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Apply resolved derates and per-op attempt failures to a fresh
+/// simulator. `first_jobs` yields each plan op's first chunk job, or
+/// `None` for ops not lowered this run. Attempt faults land on the op's
+/// *first* chunk: corruption is detected at the first verified chunk and
+/// a stream resumes from its last verified chunk, so only that chunk's
+/// latency is re-paid.
+pub(crate) fn arm_simulator(
+    sim: &mut Simulator,
+    first_jobs: impl Iterator<Item = Option<JobId>>,
+    faults: &ResolvedFaults,
+    policy: &RetryPolicy,
+) {
     for &(node, factor) in &faults.slow {
         sim.derate_node(node, factor);
     }
-    for (i, fs) in faults.op_faults.iter().enumerate() {
-        if fs.is_empty() {
+    for (fs, job) in faults.op_faults.iter().zip(first_jobs) {
+        let Some(job) = job.filter(|_| !fs.is_empty()) else {
             continue;
-        }
-        if fs.len() >= policy.max_attempts {
-            return Err(format!(
-                "op {i}: {} injected failures exhaust the retry budget \
-                 (max_attempts = {})",
-                fs.len(),
-                policy.max_attempts
-            ));
-        }
+        };
         let specs: Vec<FailSpec> = fs
             .iter()
             .enumerate()
@@ -513,9 +524,8 @@ pub(crate) fn arm_simulator(
                 reason: f.reason.to_string(),
             })
             .collect();
-        sim.fail_attempts(jobs[i][0], specs);
+        sim.fail_attempts(job, specs);
     }
-    Ok(())
 }
 
 /// First activation instant of a job (the start of its first attempt).
@@ -548,24 +558,16 @@ pub fn simulate_injected(
 ) -> Result<RobustOutcome, String> {
     let resolved = resolve(plan, ctx.topo, fp)?;
     let clean_time = simulate(plan, ctx).repair_time;
-    let stats = plan.stats(ctx.topo);
     let (waves, wave_count) = plan.cross_waves(ctx.topo);
-
-    rec.record(Event::PlanBuilt {
-        scheme: plan.scheme.to_string(),
-        parts: plan.outputs.len(),
-        ops: plan.ops.len(),
-        cross_transfers: stats.cross_transfers,
-        inner_transfers: stats.inner_transfers,
-        cross_timesteps: wave_count,
-        block_bytes: plan.block_bytes,
-    });
+    rec.record(crate::trace::plan_built(plan, ctx.topo));
 
     let chunk = ctx.effective_chunk();
     let mut sim = Simulator::new(network_for(ctx));
     let mut matrix_paid = vec![false; ctx.topo.node_count()];
     let jobs = lower_plan(&mut sim, plan, &ctx.cost, &mut matrix_paid, 0, chunk);
-    arm_simulator(&mut sim, &jobs, &resolved, policy)?;
+    check_retry_budget(&resolved.op_faults, policy)?;
+    let first_jobs = jobs.iter().map(|js| Some(js[0]));
+    arm_simulator(&mut sim, first_jobs, &resolved, policy);
 
     let Some(crash) = resolved.crash else {
         // Transient faults only: one simulation, retries in place.

@@ -1,59 +1,62 @@
-//! The repair supervisor: drives a repair to byte-verified completion
-//! under an arbitrary *sequence* of faults.
+//! The repair supervisor: drives a repair to verified completion under
+//! an arbitrary *sequence* of faults, on either backend.
 //!
 //! [`robust`](crate::robust) handles exactly one helper crash per repair;
-//! this module generalizes the crash-splice machinery into a bounded
-//! **supervision loop**. Each iteration is one *generation*: a plan (the
-//! original, or a replan) runs until it either completes or a storm
-//! fault kills one of its helpers, at which point the supervisor
+//! this module generalizes it into a bounded **supervision loop**,
+//! [`supervise`], written once and generic over a [`RepairBackend`].
+//! Each iteration is one *generation*: a plan (the original, or a
+//! replan) runs on the backend until it completes, a storm fault kills
+//! one of its helpers, the proof plane convicts a lying helper, or a
+//! hedge cancels a straggler. The loop then
 //!
 //! 1. banks every completed partial result into a **pool** keyed by
 //!    `(node, symbolic coefficient vector)` — entries survive across
 //!    *every* replan generation and are evicted only when their host
-//!    node dies;
-//! 2. feeds transfer outcomes into a [`HealthTracker`] so helper
+//!    node dies or is accused;
+//! 2. feeds per-send durations into a [`HealthTracker`] so helper
 //!    re-selection stops re-picking known-bad nodes (quarantined nodes
 //!    are [avoided](crate::scenario::RepairContext::with_avoided), with
 //!    probing re-admission);
-//! 3. replans around the dead node, reusing the pool, descending the
-//!    RPR → CAR → traditional → degraded-read **tier ladder** when the
-//!    replan budget or the repair deadline is blown;
-//! 4. splices the new generation's trace after one backoff delay.
+//! 3. replans around the dead or accused node, reusing the pool,
+//!    descending the RPR → CAR → traditional → degraded-read **tier
+//!    ladder** when the replan budget or the repair deadline is blown;
+//! 4. waits out one backoff delay before the next generation.
 //!
-//! Crash-free generations additionally run **hedged transfers**: when a
-//! cross-rack stream falls past a configurable latency multiple of its
-//! wave's median, the supervisor launches a speculative alternative
-//! (a pool-reusing replan that avoids the straggling helper) and keeps
-//! whichever finishes first. Everything is bit-deterministic for a fixed
-//! seed — the same storm replays to the identical trace, which is what
+//! A backend owns only what a virtual clock and real bytes do
+//! differently: its clock and backoff, running a generation, which ops
+//! count as completed when a crash fires, transfer-level events, proof
+//! evidence, and hedge mechanics. The simulator backend
+//! ([`supervise_injected`]) ends a crashed generation at the crash
+//! instant and hedges by splicing in a counterfactual; the `rpr-exec`
+//! backend lets the surviving branches of a crashed generation finish
+//! and hedges by cancelling the straggler for real. That crash rule is
+//! the one fact the backends do not share: on crash-free storms both
+//! reach identical fault sites, generation records and traffic, while
+//! after a crash only the crashed nodes, the replan count and the
+//! accusations are guaranteed to agree (the banked partials, and with
+//! them the replacement plans, can differ).
+//!
+//! On the simulator everything is bit-deterministic for a fixed seed —
+//! the same storm replays to the identical trace, which is what
 //! `scripts/verify.sh`'s chaos soak checks.
-//!
-//! The `rpr-exec` backend enacts the same storm on real bytes via the
-//! shared [`resolve_storm_bucket`] / [`plan_with_pool`] primitives, so
-//! both backends pick identical fault sites and replacement plans.
 
-use crate::plan::{Input, Op, OpId, Payload, RepairPlan};
-use crate::robust::{
-    fallback_plan, first_start, shift_event, AttemptFault, Collect, CrashFault, ResolvedFaults,
-};
+mod sim;
+
+pub use sim::supervise_injected;
+
+use crate::plan::{Op, OpId, RepairPlan};
+use crate::robust::{check_retry_budget, fallback_plan, AttemptFault, CrashFault, ResolvedFaults};
 use crate::scenario::RepairContext;
 use crate::schemes::{RepairPlanner, TraditionalPlanner};
-use crate::sim::{lower_op, lower_plan, network_for};
-use crate::trace::PlanTagger;
+use crate::trace::plan_built;
+use rpr_codec::BlockId;
 use rpr_faults::{
     reason, CrashSite, FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault,
 };
-use rpr_netsim::{FailSpec, JobId, SimReport, Simulator};
-use rpr_obs::{Event, Recorder, Transfer};
-use rpr_proof::{
-    symbolic_block_hash, symbolic_output_hash, ProofKey, ProofLedger, ProofMode, ProofSource,
-    RepairProof,
-};
-use rpr_topology::NodeId;
+use rpr_obs::{Event, Recorder};
+use rpr_proof::{ProofKey, ProofLedger, ProofMode, RepairProof};
+use rpr_topology::{NodeId, Topology};
 use std::collections::HashMap;
-
-/// Time tolerance when comparing simulation instants.
-const EPS: f64 = 1e-9;
 
 /// Service tier the supervisor is currently running at. Each step down
 /// trades repair quality for certainty of completion.
@@ -88,21 +91,10 @@ pub struct SuperviseConfig {
     pub policy: RetryPolicy,
     /// Replans allowed before the tier ladder starts descending.
     pub max_replans: usize,
-    /// Hedging threshold: a cross transfer running past this multiple of
-    /// its wave's median duration triggers a speculative alternative.
-    /// `None` disables hedging.
+    /// Hedging threshold: a transfer running past this multiple of its
+    /// expected duration triggers a speculative alternative. `None`
+    /// disables hedging.
     pub hedge: Option<f64>,
-    /// Derive the straggler threshold adaptively from observed helper
-    /// latencies: the effective multiple becomes
-    /// [`RetryPolicy::straggler_multiple`] of the [`HealthTracker`]'s
-    /// per-helper slowdown estimates, floored at [`hedge`]. On a healthy
-    /// fleet this is exactly the fixed multiple (bit-identical runs); on
-    /// a broadly slow fleet the threshold rises with the observed
-    /// quantile, so merely-typical helpers are not hedged against.
-    /// Ignored when [`hedge`] is `None`.
-    ///
-    /// [`hedge`]: SuperviseConfig::hedge
-    pub adaptive_hedge: bool,
     /// Whole-repair deadline in seconds, decomposed into per-wave budgets
     /// proportional to the clean run's wave spans. Blowing it degrades
     /// the tier instead of aborting. `None` disables deadline tracking.
@@ -121,7 +113,6 @@ impl Default for SuperviseConfig {
             policy: RetryPolicy::default(),
             max_replans: 4,
             hedge: None,
-            adaptive_hedge: false,
             deadline: None,
             proof: ProofMode::default(),
         }
@@ -157,13 +148,14 @@ pub struct GenerationRecord {
 pub struct SuperviseOutcome {
     /// Total repair time including retries, backoff, and all replans.
     pub repair_time: f64,
-    /// The original plan's fault-free repair time (degradation baseline).
+    /// The original plan's fault-free repair time (degradation baseline;
+    /// 0 on backends without a model of it).
     pub clean_time: f64,
     /// Per-generation records, in order.
     pub generations: Vec<GenerationRecord>,
     /// Transient-fault retries that actually fired.
     pub retries: usize,
-    /// Replan generations after helper crashes.
+    /// Replan generations after helper crashes and proof convictions.
     pub replans: usize,
     /// Total ops satisfied from the partial pool across all generations.
     pub reused_ops: usize,
@@ -194,9 +186,41 @@ pub struct SuperviseOutcome {
     pub ledger: ProofLedger,
 }
 
+/// Why a supervised repair could not complete.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SuperviseError {
+    /// The faults do not apply to this repair, or they made the stripe
+    /// unrecoverable (more than `k` total failures, no plan validates).
+    Unrecoverable(String),
+    /// A transfer's injected failures exhaust the retry budget.
+    RetriesExhausted(String),
+}
+
+impl SuperviseError {
+    /// The bare message, without the variant prefix [`Display`] adds.
+    ///
+    /// [`Display`]: std::fmt::Display
+    pub fn into_message(self) -> String {
+        match self {
+            SuperviseError::Unrecoverable(m) | SuperviseError::RetriesExhausted(m) => m,
+        }
+    }
+}
+
+impl std::fmt::Display for SuperviseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SuperviseError::Unrecoverable(m) => write!(f, "unrecoverable: {m}"),
+            SuperviseError::RetriesExhausted(m) => write!(f, "retries exhausted: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for SuperviseError {}
+
 /// One storm bucket resolved against a concrete generation plan.
 #[derive(Debug, Clone)]
-pub struct GenFaults {
+pub(crate) struct GenFaults {
     /// The concrete faults: per-op attempt failures, at most one crash,
     /// link derates.
     pub resolved: ResolvedFaults,
@@ -209,13 +233,13 @@ pub struct GenFaults {
 
 /// Resolve one storm bucket against the current generation's plan.
 ///
-/// Both backends call this with identical inputs, so the seeded picks
-/// land on identical sites: `lowered` restricts targets to ops the
-/// generation actually executes, `prev_senders` (cross-rack senders of
+/// The loop calls this for every generation on either backend, so the
+/// seeded picks depend only on the plan and the storm: `lowered`
+/// restricts targets to ops the generation actually executes, `prev_senders` (cross-rack senders of
 /// the *previous* generation's plan) anchors
 /// [`CrashSite::NewHelper`] — "crash the replacement" — and every free
 /// parameter draws from `rng` in declaration order.
-pub fn resolve_storm_bucket(
+pub(crate) fn resolve_storm_bucket(
     bucket: &[StormFault],
     plan: &RepairPlan,
     lowered: &[bool],
@@ -366,7 +390,8 @@ pub fn resolve_storm_bucket(
                     .filter(|&i| matches!(&plan.ops[i], Op::Send { from, .. } if *from != plan.recovery))
                     .collect();
                 if liars.is_empty() {
-                    out.descriptions.push("lie skipped (no helper sends)".into());
+                    out.descriptions
+                        .push("lie skipped (no helper sends)".into());
                     continue;
                 }
                 let i = liars[rng.pick(liars.len())];
@@ -414,6 +439,10 @@ pub fn resolve_storm_bucket(
     out
 }
 
+/// Pool key: `(node, symbolic coefficient vector)` of a banked partial.
+/// Two ops with equal keys hold byte-identical values.
+pub type PoolKey = (usize, Vec<u8>);
+
 /// A pool-aware replacement plan: which ops the partial-result pool
 /// already satisfies and which must actually execute.
 #[derive(Debug, Clone)]
@@ -421,7 +450,7 @@ pub struct PoolReplan {
     /// The plan (built by the tier's planner chain).
     pub plan: RepairPlan,
     /// Per-op pool key `(node, symbolic vector)` satisfying it, if any.
-    pub reused: Vec<Option<(usize, Vec<u8>)>>,
+    pub reused: Vec<Option<PoolKey>>,
     /// Per-op: whether it must actually execute (reachable from an
     /// output and not satisfied by the pool).
     pub lowered: Vec<bool>,
@@ -445,11 +474,11 @@ impl PoolReplan {
 /// DAG walk behind reused ops exactly like
 /// [`replan_after_crash`](crate::robust::replan_after_crash).
 ///
-/// Shared by both backends: the sim pool carries only keys, the exec
-/// pool maps the same keys to real byte buffers, so `V` is generic.
+/// The sim pool carries only keys, the exec pool maps the same keys to
+/// real byte buffers, so `V` is generic.
 pub fn plan_with_pool<V>(
     ctx: &RepairContext<'_>,
-    pool: &HashMap<(usize, Vec<u8>), V>,
+    pool: &HashMap<PoolKey, V>,
     tier: Tier,
 ) -> Result<PoolReplan, String> {
     let usable = ctx.survivors().len();
@@ -471,7 +500,7 @@ pub fn plan_with_pool<V>(
         }
     };
     let vecs = plan.symbolic_vectors();
-    let mut reused: Vec<Option<(usize, Vec<u8>)>> = (0..plan.ops.len())
+    let mut reused: Vec<Option<PoolKey>> = (0..plan.ops.len())
         .map(|i| {
             let key = (plan.ops[i].output_location().0, vecs[i].clone());
             pool.contains_key(&key).then_some(key)
@@ -506,123 +535,158 @@ pub fn plan_with_pool<V>(
     })
 }
 
-/// A recorder that drops every event (clean baseline runs).
-struct Null;
-
-impl Recorder for Null {
-    fn record(&self, _: Event) {}
+/// The partial-result pool with its proof-plane side tables, kept in
+/// lockstep: every purge drops a node's entries from all three.
+pub(crate) struct Pool<V> {
+    /// Banked partials: keys only on the simulator, bytes on the executor.
+    pub(crate) values: HashMap<PoolKey, V>,
+    /// The sorted `(generation, op)` lie sites tainting each banked
+    /// partial (proof plane active only).
+    pub(crate) taint: HashMap<PoolKey, Vec<(usize, usize)>>,
+    /// Which `(generation, op)` produced each banked partial, so a
+    /// re-serve's proof can name its true origin (proof plane active
+    /// only).
+    pub(crate) origin: HashMap<PoolKey, (usize, usize)>,
 }
 
-/// Lower only the `lowered` ops of a plan, wiring dependencies through
-/// whatever subset exists (reused deps vanish — their payloads are
-/// already at hand).
-fn lower_partial(
-    sim: &mut Simulator,
-    plan: &RepairPlan,
-    lowered: &[bool],
-    cost: &crate::cost::CostModel,
-    node_count: usize,
-    tag: usize,
-    chunk: Option<u64>,
-) -> Vec<Option<Vec<JobId>>> {
-    let mut matrix_paid = vec![false; node_count];
-    let mut jobs: Vec<Option<Vec<JobId>>> = Vec::with_capacity(plan.ops.len());
-    for (i, op) in plan.ops.iter().enumerate() {
-        if !lowered[i] {
-            jobs.push(None);
-            continue;
+impl<V> Pool<V> {
+    fn new() -> Pool<V> {
+        Pool {
+            values: HashMap::new(),
+            taint: HashMap::new(),
+            origin: HashMap::new(),
         }
-        let data = op.dependencies();
-        let data_jobs: Vec<Vec<JobId>> = data.iter().filter_map(|d| jobs[d.0].clone()).collect();
-        let ordering_jobs: Vec<Vec<JobId>> = plan
-            .deps_of(i)
-            .iter()
-            .filter(|d| !data.contains(d))
-            .filter_map(|d| jobs[d.0].clone())
-            .collect();
-        jobs.push(Some(lower_op(
-            sim,
-            plan,
-            i,
-            cost,
-            &mut matrix_paid,
-            tag,
-            &data_jobs,
-            &ordering_jobs,
-            chunk,
-        )));
     }
-    jobs
+
+    /// Evict every partial hosted on `node`.
+    fn purge(&mut self, node: usize) {
+        self.values.retain(|(n, _), _| *n != node);
+        self.taint.retain(|(n, _), _| *n != node);
+        self.origin.retain(|(n, _), _| *n != node);
+    }
 }
 
-/// Apply derates and attempt faults to a partially-lowered simulator.
-fn arm_partial(
-    sim: &mut Simulator,
-    jobs: &[Option<Vec<JobId>>],
-    faults: &ResolvedFaults,
-    policy: &RetryPolicy,
-) -> Result<(), String> {
-    for &(node, factor) in &faults.slow {
-        sim.derate_node(node, factor);
-    }
-    for (i, fs) in faults.op_faults.iter().enumerate() {
-        if fs.is_empty() {
-            continue;
-        }
-        let Some(js) = &jobs[i] else { continue };
-        if fs.len() >= policy.max_attempts {
-            return Err(format!(
-                "op {i}: {} injected failures exhaust the retry budget \
-                 (max_attempts = {})",
-                fs.len(),
-                policy.max_attempts
-            ));
-        }
-        let specs: Vec<FailSpec> = fs
-            .iter()
-            .enumerate()
-            .map(|(a, f)| FailSpec {
-                fraction: f.fraction,
-                delay: policy.delay(a),
-                reason: f.reason.to_string(),
-            })
-            .collect();
-        sim.fail_attempts(js[0], specs);
-    }
-    Ok(())
+/// One generation, as the loop hands it to a [`RepairBackend`].
+pub struct Generation<'a, 'c, V> {
+    /// Generation index: 0 for the original plan, +1 per replan or hedge.
+    /// Backends label op `i` as `p{index}op{i}`.
+    pub index: usize,
+    /// This generation's context: the grown failure set and the pinned
+    /// recovery node (or degraded-read client).
+    pub ctx: &'a RepairContext<'c>,
+    /// The plan to run.
+    pub plan: &'a RepairPlan,
+    /// Symbolic coefficient vector of every op
+    /// ([`RepairPlan::symbolic_vectors`]).
+    pub vecs: &'a [Vec<u8>],
+    /// Per op: whether it executes this generation.
+    pub lowered: &'a [bool],
+    /// Per op: the pool key that satisfies it instead, if any.
+    pub reused: &'a [Option<PoolKey>],
+    /// Per op: the banked value behind `reused`.
+    pub prefilled: &'a [Option<V>],
+    /// The resolved storm bucket. `slow` holds every derate injected so
+    /// far — degraded hardware does not heal when the supervisor
+    /// replans around it.
+    pub faults: &'a ResolvedFaults,
+    /// Backoff between retries of a failed transfer attempt.
+    pub policy: &'a RetryPolicy,
+    /// Hedge multiple, when this generation may hedge a straggler.
+    pub hedge: Option<f64>,
+    /// Tier the plan was built at.
+    pub(crate) tier: Tier,
+    /// The pool as banked before this generation.
+    pub(crate) pool: &'a Pool<V>,
+    /// Helpers dead so far.
+    pub(crate) dead: &'a [NodeId],
+    /// Helpers quarantined when the generation started.
+    pub(crate) quarantined: &'a [NodeId],
 }
 
-/// Which executed ops finished at or before `t`.
-fn completed_at(report: &SimReport, jobs: &[Option<Vec<JobId>>], t: f64) -> Vec<bool> {
-    jobs.iter()
-        .map(|js| match js {
-            Some(js) => {
-                let last = *js.last().expect("ops lower to >= 1 job");
-                report.record(last).finish <= t + EPS
-            }
-            None => false,
-        })
-        .collect()
+/// What a backend reports back from one generation.
+pub struct GenerationRun<V> {
+    /// Per op: its output, when the op counts as completed. After a crash
+    /// the backend decides which ops that is.
+    pub values: Vec<Option<V>>,
+    /// Per op: how long a completed send took, for the health feed
+    /// (`None` for combines, unfinished sends and zero-length timings).
+    pub send_durations: Vec<Option<f64>>,
+    /// Backend clock when the generation ended: the crash instant, the
+    /// cancellation, or the completion.
+    pub end: f64,
+    /// Failed transfer attempts that were retried.
+    pub retries: usize,
+    /// A hedge the backend resolved inside the generation.
+    pub splice: Option<Splice>,
+    /// The straggling send op whose hedge cancelled the generation.
+    pub cancelled: Option<usize>,
 }
 
-/// Per-wave `(start, finish)` spans over the executed cross sends.
-fn wave_spans(
-    waves: &[Option<usize>],
-    wave_count: usize,
-    jobs: &[Option<Vec<JobId>>],
-    report: &SimReport,
-) -> Vec<(f64, f64)> {
-    let mut spans = vec![(f64::INFINITY, 0.0f64); wave_count];
-    for (i, wave) in waves.iter().enumerate() {
-        let (Some(w), Some(js)) = (wave, &jobs[i]) else {
-            continue;
-        };
-        let first = first_start(report, js[0]);
-        let finish = report.record(*js.last().expect("non-empty")).finish;
-        spans[*w].0 = spans[*w].0.min(first);
-        spans[*w].1 = spans[*w].1.max(finish);
-    }
-    spans
+/// A hedge resolved inside one generation by running the alternative to
+/// completion next to the original (the simulator's counterfactual).
+pub struct Splice {
+    /// The alternative finished first and its timeline was adopted.
+    pub won: bool,
+    /// Alternative ops satisfied from the pool.
+    pub reused: usize,
+    /// `(cross, inner)` bytes actually moved when the hedge won: the
+    /// original plan up to detection plus the alternative.
+    pub moved: (u64, u64),
+}
+
+/// A generation's proof-plane evidence.
+pub struct Evidence {
+    /// One proof per completed or pool-served op, in op order.
+    pub proofs: Vec<RepairProof>,
+    /// Per op: the `(generation, op)` lie sites corrupting its output;
+    /// empty for honest outputs.
+    pub taints: Vec<Vec<(usize, usize)>>,
+    /// Nodes the evidence convicts, sorted and deduplicated.
+    pub dishonest: Vec<usize>,
+}
+
+/// A substrate the supervision loop can run generations on. The loop
+/// owns every decision; a backend only runs one generation of a plan
+/// under its resolved faults and reports what happened.
+pub trait RepairBackend {
+    /// What a completed op leaves behind: `()` on the simulator, the
+    /// real bytes on the executor.
+    type Value: Clone;
+    /// What the backend reports once the repair completes.
+    type Report;
+
+    /// Prepare to run the generation-0 plan. Returns its fault-free
+    /// repair time, or 0 if the backend has no model of it.
+    fn start(&mut self, plan: &RepairPlan, ctx: &RepairContext<'_>) -> Result<f64, SuperviseError>;
+
+    /// Run one generation, recording its transfer-level events.
+    fn run(
+        &mut self,
+        gen: &Generation<'_, '_, Self::Value>,
+        rec: &dyn Recorder,
+    ) -> Result<GenerationRun<Self::Value>, SuperviseError>;
+
+    /// Proofs for the generation's completed and pool-served ops, keyed
+    /// by `key`. Called only with the proof plane active.
+    fn evidence(
+        &self,
+        gen: &Generation<'_, '_, Self::Value>,
+        run: &GenerationRun<Self::Value>,
+        key: ProofKey,
+    ) -> Evidence;
+
+    /// Wait out `delay` seconds of backoff after a failed generation
+    /// that ended at `now`.
+    fn backoff(&mut self, now: f64, delay: f64);
+
+    /// The generation completed the repair: record any end-of-repair
+    /// events and build the backend's report.
+    fn complete(
+        &mut self,
+        gen: &Generation<'_, '_, Self::Value>,
+        run: &GenerationRun<Self::Value>,
+        rec: &dyn Recorder,
+    ) -> Result<Self::Report, SuperviseError>;
 }
 
 /// Median of a non-empty duration list.
@@ -636,131 +700,29 @@ fn median_of(durs: &mut [f64]) -> f64 {
     }
 }
 
-/// Find the worst straggling send: one whose duration exceeds
-/// `multiple` times its peer-group median. Peers are the send's wave
-/// when the wave has at least two sends, otherwise its whole link class
-/// (all cross sends, or all inner sends — peers move the same block
-/// size over the same link class). Returns `(op, straggler start,
-/// detection instant)` where detection fires at
-/// `start + multiple * median` — the earliest moment the supervisor can
-/// *know* the transfer is late.
-fn find_straggler(
-    plan: &RepairPlan,
-    waves: &[Option<usize>],
-    jobs: &[Option<Vec<JobId>>],
-    report: &SimReport,
-    multiple: f64,
-) -> Option<(usize, f64, f64)> {
-    let mut sends: Vec<(usize, Option<usize>, f64, f64)> = Vec::new(); // (op, wave, start, dur)
-    for (i, op) in plan.ops.iter().enumerate() {
-        let Some(js) = &jobs[i] else { continue };
-        if !matches!(op, Op::Send { .. }) {
-            continue;
-        }
-        let start = first_start(report, js[0]);
-        let finish = report.record(*js.last().expect("non-empty")).finish;
-        sends.push((i, waves[i], start, finish - start));
-    }
-    let mut best: Option<(f64, usize, f64, f64)> = None;
-    for &(i, w, start, dur) in &sends {
-        // Peer group, always excluding the candidate itself (a 10x
-        // outlier must not drag its own baseline up): the send's wave
-        // when it has company there, else its whole link class —
-        // single-failure pipelines ship one cross block per wave, so
-        // waves alone are no peer group.
-        let mut peers: Vec<f64> = sends
-            .iter()
-            .filter(|&&(pi, pw, _, _)| pi != i && w.is_some() && pw == w)
-            .map(|&(.., d)| d)
-            .collect();
-        if peers.is_empty() {
-            peers = sends
-                .iter()
-                .filter(|&&(pi, pw, _, _)| pi != i && pw.is_some() == w.is_some())
-                .map(|&(.., d)| d)
-                .collect();
-        }
-        if peers.is_empty() {
-            continue;
-        }
-        let median = median_of(&mut peers);
-        if median <= 0.0 {
-            continue;
-        }
-        if dur > multiple * median {
-            let excess = dur / median;
-            if best.as_ref().is_none_or(|&(e, ..)| excess > e) {
-                best = Some((excess, i, start, start + multiple * median));
-            }
-        }
-    }
-    best.map(|(_, i, start, detect)| (i, start, detect))
-}
-
-/// The transfer descriptor of send op `i` under `tag`, for failure
-/// events emitted by the supervisor itself.
-fn send_xfer(
-    plan: &RepairPlan,
-    ctx: &RepairContext<'_>,
-    waves: &[Option<usize>],
-    tag: usize,
-    i: usize,
-) -> Transfer {
-    let Op::Send { from, to, .. } = &plan.ops[i] else {
-        unreachable!("supervisor failure events target sends");
-    };
-    Transfer {
-        label: format!("p{tag}op{i}:send"),
-        src_node: from.0,
-        src_rack: ctx.topo.rack_of(*from).0,
-        dst_node: to.0,
-        dst_rack: ctx.topo.rack_of(*to).0,
-        bytes: plan.block_bytes,
-        cross: !ctx.topo.same_rack(*from, *to),
-        timestep: waves[i],
-    }
-}
-
-/// Feed per-sender health scores from one generation's report: each
-/// executed send scores its source node against the median duration of
-/// its peer group (all cross sends form one group, all inner sends
+/// Feed per-sender health scores from one generation: each completed
+/// helper send scores its source node against the median duration of
+/// its link class (all cross sends form one group, all inner sends
 /// another — peers move the same block size over the same link class),
 /// so healthy-but-contended plans stay near 1.0 while a genuinely slow
 /// node decays. Returns nodes *newly* quarantined.
 fn feed_health(
     tracker: &mut HealthTracker,
     plan: &RepairPlan,
-    waves: &[Option<usize>],
-    jobs: &[Option<Vec<JobId>>],
-    report: &SimReport,
-    completed: &[bool],
+    topo: &Topology,
+    durations: &[Option<f64>],
 ) -> Vec<(usize, f64)> {
     let before = tracker.quarantined();
-    let mut groups: HashMap<bool, Vec<(usize, f64)>> = HashMap::new();
-    for (i, op) in plan.ops.iter().enumerate() {
-        if !completed[i] {
-            continue;
-        }
-        let (Op::Send { from, .. }, Some(js)) = (op, &jobs[i]) else {
+    let mut groups: [Vec<(usize, f64)>; 2] = [Vec::new(), Vec::new()]; // [inner, cross]
+    for (op, dur) in plan.ops.iter().zip(durations) {
+        let (Op::Send { from, to, .. }, Some(dur)) = (op, dur) else {
             continue;
         };
-        if *from == plan.recovery {
-            continue;
+        if *from != plan.recovery {
+            groups[usize::from(!topo.same_rack(*from, *to))].push((from.0, *dur));
         }
-        let start = first_start(report, js[0]);
-        let finish = report.record(*js.last().expect("non-empty")).finish;
-        groups
-            .entry(waves[i].is_some())
-            .or_default()
-            .push((from.0, finish - start));
     }
-    for cross in [false, true] {
-        let Some(members) = groups.get(&cross) else {
-            continue;
-        };
-        if members.len() < 2 {
-            continue;
-        }
+    for members in groups.iter().filter(|m| m.len() >= 2) {
         let mut durs: Vec<f64> = members.iter().map(|&(_, d)| d).collect();
         let median = median_of(&mut durs);
         for &(node, dur) in members {
@@ -775,34 +737,49 @@ fn feed_health(
         .collect()
 }
 
-/// Count traffic of executed-and-completed sends into `(cross, inner)`.
-fn count_traffic(
-    plan: &RepairPlan,
-    ctx: &RepairContext<'_>,
-    flags: &[bool],
-    cross: &mut u64,
-    inner: &mut u64,
-) {
-    for (i, op) in plan.ops.iter().enumerate() {
-        if !flags[i] {
-            continue;
-        }
+/// `(cross, inner)` bytes moved by the flagged sends of a plan.
+fn send_bytes(plan: &RepairPlan, topo: &Topology, flags: &[bool]) -> (u64, u64) {
+    let mut moved = (0, 0);
+    for (op, _) in plan.ops.iter().zip(flags).filter(|(_, f)| **f) {
         if let Op::Send { from, to, .. } = op {
-            if ctx.topo.same_rack(*from, *to) {
-                *inner += plan.block_bytes;
+            if topo.same_rack(*from, *to) {
+                moved.1 += plan.block_bytes;
             } else {
-                *cross += plan.block_bytes;
+                moved.0 += plan.block_bytes;
             }
         }
     }
+    moved
+}
+
+/// Distinct cross-rack sender nodes of a plan, sorted — the anchor for
+/// [`CrashSite::NewHelper`] resolution next generation.
+fn cross_senders(plan: &RepairPlan, topo: &Topology) -> Vec<usize> {
+    let mut ns: Vec<usize> = plan
+        .ops
+        .iter()
+        .filter_map(|op| match op {
+            Op::Send { from, to, .. } if !topo.same_rack(*from, *to) => Some(from.0),
+            _ => None,
+        })
+        .collect();
+    ns.sort_unstable();
+    ns.dedup();
+    ns
 }
 
 /// Pick the degraded-read client: the lowest-index live spare node (no
 /// block of this stripe), or failing that any live non-failed host.
-/// Shared by both backends so their [`Tier::DegradedRead`] generations
-/// deliver to the same node.
-pub fn degraded_client(ctx: &RepairContext<'_>, dead: &[NodeId], recovery: NodeId) -> Option<NodeId> {
-    let failed_hosts: Vec<NodeId> = ctx.failed.iter().map(|b| ctx.placement.node_of(*b)).collect();
+pub(crate) fn degraded_client(
+    ctx: &RepairContext<'_>,
+    dead: &[NodeId],
+    recovery: NodeId,
+) -> Option<NodeId> {
+    let failed_hosts: Vec<NodeId> = ctx
+        .failed
+        .iter()
+        .map(|b| ctx.placement.node_of(*b))
+        .collect();
     let live = |n: NodeId| !dead.contains(&n) && !failed_hosts.contains(&n) && n != recovery;
     let spare = (0..ctx.topo.node_count())
         .map(NodeId)
@@ -810,286 +787,137 @@ pub fn degraded_client(ctx: &RepairContext<'_>, dead: &[NodeId], recovery: NodeI
     spare.or_else(|| (0..ctx.topo.node_count()).map(NodeId).find(|&n| live(n)))
 }
 
-/// Pool key `(node, coefficient vector)` → the sorted `(gen, op)` lie
-/// sites tainting that banked partial (see [`gen_taints`]).
-type PoolTaintMap = HashMap<(usize, Vec<u8>), Vec<(usize, usize)>>;
-
-/// Per-op taint sets for one generation: the sorted `(gen, op)` lie
-/// sites corrupting each op's output. Taint enters at a lying send and
-/// flows through every data dependency — cut-through folding means one
-/// lied block poisons the whole downstream partial-sum chain — and
-/// through pool reuse (a banked partial carries the taint it was
-/// produced with).
-fn gen_taints(
-    plan: &RepairPlan,
-    lies: &[usize],
-    reused_keys: &[Option<(usize, Vec<u8>)>],
-    pool_taint: &PoolTaintMap,
-    g: usize,
-) -> Vec<Vec<(usize, usize)>> {
-    let mut taints: Vec<Vec<(usize, usize)>> = Vec::with_capacity(plan.ops.len());
-    for (i, op) in plan.ops.iter().enumerate() {
-        let mut t: Vec<(usize, usize)> = match &reused_keys[i] {
-            Some(key) => pool_taint.get(key).cloned().unwrap_or_default(),
-            None => {
-                let mut t = Vec::new();
-                for d in op.dependencies() {
-                    t.extend(taints[d.0].iter().copied());
-                }
-                if lies.contains(&i) {
-                    t.push((g, i));
-                }
-                t
-            }
-        };
-        t.sort_unstable();
-        t.dedup();
-        taints.push(t);
-    }
-    taints
-}
-
-/// The proof inputs of op `i`: one `(source, hash)` pair per consumed
-/// value, in consumption order. Blocks that arrive via a send reference
-/// the send op (its output is what was actually consumed); locally-read
-/// blocks reference the stripe block itself.
-fn proof_inputs(
-    key: ProofKey,
-    plan: &RepairPlan,
-    i: usize,
-    vecs: &[Vec<u8>],
-    taints: &[Vec<(usize, usize)>],
-) -> Vec<(ProofSource, u128)> {
-    let op_hash = |s: usize| symbolic_output_hash(key, &vecs[s], &taints[s]);
-    match &plan.ops[i] {
-        Op::Send { what, .. } => match what {
-            Payload::Block(b) => vec![(ProofSource::Block(b.0), symbolic_block_hash(key, b.0))],
-            Payload::Intermediate(src) => vec![(ProofSource::Op(src.0), op_hash(src.0))],
-        },
-        Op::Combine { inputs, .. } => inputs
-            .iter()
-            .map(|inp| match inp {
-                Input::Block { via: Some(v), .. } => (ProofSource::Op(v.0), op_hash(v.0)),
-                Input::Block { block, via: None, .. } => {
-                    (ProofSource::Block(block.0), symbolic_block_hash(key, block.0))
-                }
-                Input::Intermediate(src) => (ProofSource::Op(src.0), op_hash(src.0)),
-            })
-            .collect(),
-    }
-}
-
-/// Emit one generation's proofs into the ledger and the trace: one
-/// sealed entry per completed op (pool-reused ops re-serve under the
-/// `"pool"` algorithm tag, with a [`ProofSource::Pooled`] input naming
-/// the generation and op that originally banked the partial), a
-/// `proof_emitted` event each, and a `proof_rejected` event for every
-/// output that disagrees with its expected witness. Returns the deduped
-/// nodes whose *completed lies* make them dishonest — accusation
-/// (Mandatory only) is the caller's call.
-#[allow(clippy::too_many_arguments)]
-fn emit_generation_proofs(
-    key: ProofKey,
-    ledger: &mut ProofLedger,
-    emitted: &mut usize,
-    rejected: &mut usize,
-    plan: &RepairPlan,
-    vecs: &[Vec<u8>],
-    taints: &[Vec<(usize, usize)>],
-    reused_keys: &[Option<(usize, Vec<u8>)>],
-    pool_origin: &HashMap<(usize, Vec<u8>), (usize, usize)>,
-    completed: &[bool],
-    lies: &[usize],
-    chunk: Option<u64>,
-    g: usize,
-    now: f64,
-    rec: &dyn Recorder,
-) -> Vec<usize> {
-    let (chunks, chunk_bytes) = match chunk {
-        Some(c) if c > 0 && c < plan.block_bytes => (plan.block_bytes.div_ceil(c) as usize, c),
-        _ => (1, plan.block_bytes),
-    };
-    let mut dishonest: Vec<usize> = Vec::new();
-    for i in 0..plan.ops.len() {
-        let reused = reused_keys[i].is_some();
-        if !reused && !completed[i] {
-            continue;
+/// The next generation's context: the grown failure set, the recovery
+/// node pinned — or, at [`Tier::DegradedRead`], moved to a live client.
+fn next_context<'c>(
+    ctx: &RepairContext<'c>,
+    failed: &[BlockId],
+    recovery: NodeId,
+    tier: Tier,
+    dead: &[NodeId],
+) -> RepairContext<'c> {
+    let mut next = ctx.clone();
+    next.failed = failed.to_vec();
+    if tier == Tier::DegradedRead {
+        if let Some(client) = degraded_client(&next, dead, recovery) {
+            return next.with_recovery_node(client);
         }
-        // The node under suspicion: the sender for transfers (it produced
-        // the bytes on the wire), the folding node for combines, the
-        // hosting node for pool re-serves.
-        let node = match (&plan.ops[i], reused) {
-            (_, true) => plan.ops[i].output_location().0,
-            (Op::Send { from, .. }, false) => from.0,
-            (Op::Combine { node, .. }, false) => node.0,
-        };
-        let proof = RepairProof {
-            op: i,
-            node,
-            coeffs: vecs[i].clone(),
-            inputs: match &reused_keys[i] {
-                // A re-serve's single input is the banked partial: the
-                // provenance edge points at its original producer, and
-                // the hash equals this op's own output (a re-serve
-                // forwards the banked bytes, taint and all), so audits
-                // chase taint back to the liar across generations.
-                Some(k) => pool_origin
-                    .get(k)
-                    .map(|&(src_gen, src_op)| {
-                        vec![(
-                            ProofSource::Pooled {
-                                gen: src_gen,
-                                op: src_op,
-                            },
-                            symbolic_output_hash(key, &vecs[i], &taints[i]),
-                        )]
-                    })
-                    .unwrap_or_default(),
-                None => proof_inputs(key, plan, i, vecs, taints),
-            },
-            output_hash: symbolic_output_hash(key, &vecs[i], &taints[i]),
-            expected_hash: symbolic_output_hash(key, &vecs[i], &[]),
-            algorithm: if reused { "pool" } else { "sim" }.to_string(),
-            chunks,
-            chunk_bytes,
-        };
-        let honest = proof.honest_output();
-        ledger.push(g, proof);
-        *emitted += 1;
-        rec.record(Event::ProofEmitted {
-            op: i,
-            node,
-            gen: g,
-            t: now,
-        });
-        if !honest {
-            *rejected += 1;
-            rec.record(Event::ProofRejected {
-                op: i,
-                node,
-                gen: g,
+    }
+    next.recovery_node_override = Some(recovery);
+    next.recovery_override = Some(ctx.topo.rack_of(recovery));
+    next
+}
+
+/// The helper a hedge's alternative plan streams from instead of
+/// `slow`: its first cross-rack sender that is not `slow`, else its
+/// recovery node.
+fn hedge_node(alt: &RepairPlan, topo: &Topology, slow: NodeId) -> usize {
+    alt.ops
+        .iter()
+        .find_map(|op| match op {
+            Op::Send { from, to, .. } if !topo.same_rack(*from, *to) && *from != slow => {
+                Some(from.0)
+            }
+            _ => None,
+        })
+        .unwrap_or(alt.recovery.0)
+}
+
+fn quarantined(tracker: &HealthTracker) -> Vec<NodeId> {
+    tracker.quarantined().into_iter().map(NodeId).collect()
+}
+
+/// Flag the whole-repair deadline the first time `now` passes it.
+fn check_deadline(cfg: &SuperviseConfig, now: f64, hit: &mut bool, rec: &dyn Recorder) {
+    if let Some(d) = cfg.deadline {
+        if now > d && !*hit {
+            *hit = true;
+            rec.record(Event::DeadlineExceeded {
+                scope: "repair".to_string(),
+                budget: d,
+                elapsed: now,
                 t: now,
             });
         }
-        if lies.contains(&i) {
-            dishonest.push(node);
-        }
     }
-    dishonest.sort_unstable();
-    dishonest.dedup();
-    dishonest
 }
 
-/// Run a supervised repair on the `rpr-netsim` backend: the full
-/// supervision loop — multi-crash replanning with pooled partial reuse,
-/// hedged transfers, health-aware helper re-selection, and
-/// deadline-driven tier degradation — on the virtual clock,
-/// bit-deterministically.
+/// Drive a repair to completion on `backend` under `storm`: the one
+/// supervision loop both backends share (see the module docs).
 ///
 /// `tracker` persists across calls so a fleet recovery can share one
 /// health view; pass [`HealthTracker::with_defaults`] for a one-shot
-/// repair. Events stream into `rec` exactly as
-/// [`simulate_injected`](crate::robust::simulate_injected) emits them,
-/// plus the supervisor vocabulary (`hedge_launched`, `hedge_won`,
-/// `helper_quarantined`, `deadline_exceeded`, `degraded_fallback`).
+/// repair. Besides the backend's transfer-level events, `rec` receives
+/// the supervisor vocabulary: `plan_built`, `replanned`,
+/// `hedge_launched`, `hedge_won`, `helper_quarantined`,
+/// `helper_accused`, `proof_emitted`, `proof_rejected`,
+/// `deadline_exceeded`, `degraded_fallback` and `repair_done`.
 ///
 /// Returns `Err` when the storm kills more than `k - failed` helpers
 /// (unrecoverable), a fault exhausts the retry budget, or no fallback
 /// plan validates.
-pub fn supervise_injected(
+pub fn supervise<B: RepairBackend>(
+    backend: &mut B,
     ctx: &RepairContext<'_>,
     storm: &FaultStorm,
     cfg: &SuperviseConfig,
     tracker: &mut HealthTracker,
     rec: &dyn Recorder,
-) -> Result<SuperviseOutcome, String> {
+) -> Result<(SuperviseOutcome, B::Report), SuperviseError> {
+    use SuperviseError::{RetriesExhausted, Unrecoverable};
+    let mandatory = cfg.proof == ProofMode::Mandatory;
     let mut rng = SplitMix64::new(storm.seed);
-    let chunk = ctx.effective_chunk();
-    let node_count = ctx.topo.node_count();
-
-    // Proof plane: the ledger key derives from the storm seed, so the
-    // offline auditor re-derives it without any side channel. All of
-    // this is RNG-free — Off mode stays bit-identical to pre-proof runs.
+    // The ledger key derives from the storm seed, so the offline auditor
+    // re-derives it without any side channel. The proof plane draws no
+    // randomness — Off mode stays bit-identical to proof-free runs.
     let proof_key = ProofKey::from_seed(storm.seed);
-    let mut ledger = ProofLedger::new(storm.seed, cfg.proof);
-    let mut proofs_emitted = 0usize;
-    let mut proofs_rejected = 0usize;
-    let mut accusations = 0usize;
-    let mut pool_taint: PoolTaintMap = HashMap::new();
-    // Provenance per pool key: which (generation, op) produced the
-    // banked partial, so a pool re-serve's proof can name its true
-    // origin instead of an inputless "pool" claim. Kept in lockstep
-    // with `pool` / `pool_taint` purges.
-    let mut pool_origin: HashMap<(usize, Vec<u8>), (usize, usize)> = HashMap::new();
+    let mut pool: Pool<B::Value> = Pool::new();
 
     // Generation 0: health-aware plan (fall back to unfiltered helper
     // selection if quarantine starves the planner).
-    let avoid_nodes = |t: &HealthTracker| -> Vec<NodeId> {
-        t.quarantined().into_iter().map(NodeId).collect()
+    let rep = plan_with_pool(
+        &ctx.clone().with_avoided(quarantined(tracker)),
+        &pool.values,
+        Tier::Full,
+    )
+    .or_else(|_| plan_with_pool(ctx, &pool.values, Tier::Full))
+    .map_err(Unrecoverable)?;
+    let clean_time = backend.start(&rep.plan, ctx)?;
+    rec.record(plan_built(&rep.plan, ctx.topo));
+    let (mut plan, mut reused, mut lowered) = (rep.plan, rep.reused, rep.lowered);
+
+    let mut out = SuperviseOutcome {
+        repair_time: 0.0,
+        clean_time,
+        generations: Vec::new(),
+        retries: 0,
+        replans: 0,
+        reused_ops: 0,
+        final_scheme: String::new(),
+        final_tier: Tier::Full,
+        hedges: 0,
+        hedge_wins: 0,
+        deadline_hit: false,
+        fault_sites: Vec::new(),
+        cross_bytes: 0,
+        inner_bytes: 0,
+        proofs_emitted: 0,
+        proofs_rejected: 0,
+        accusations: 0,
+        ledger: ProofLedger::new(storm.seed, cfg.proof),
     };
     let mut ctx_g = ctx.clone();
-    let plan0 = {
-        let avoided = ctx_g.clone().with_avoided(avoid_nodes(tracker));
-        fallback_plan(&avoided).or_else(|_| fallback_plan(&ctx_g))?
-    };
-
-    // Clean baseline: makespan and per-wave spans (deadline budgets).
-    let (clean_time, clean_spans) = {
-        let mut sim = Simulator::new(network_for(ctx));
-        let mut paid = vec![false; node_count];
-        let jobs: Vec<Option<Vec<JobId>>> =
-            lower_plan(&mut sim, &plan0, &ctx.cost, &mut paid, 0, chunk)
-                .into_iter()
-                .map(Some)
-                .collect();
-        let report = sim.run_recorded(&Null);
-        let (w0, wc0) = plan0.cross_waves(ctx.topo);
-        (report.makespan, wave_spans(&w0, wc0, &jobs, &report))
-    };
-    let clean_total: f64 = clean_time.max(EPS);
-
-    let stats = plan0.stats(ctx.topo);
-    let (_, wc) = plan0.cross_waves(ctx.topo);
-    rec.record(Event::PlanBuilt {
-        scheme: plan0.scheme.to_string(),
-        parts: plan0.outputs.len(),
-        ops: plan0.ops.len(),
-        cross_transfers: stats.cross_transfers,
-        inner_transfers: stats.inner_transfers,
-        cross_timesteps: wc,
-        block_bytes: plan0.block_bytes,
-    });
-
-    let mut pool: HashMap<(usize, Vec<u8>), ()> = HashMap::new();
-    let mut generations: Vec<GenerationRecord> = Vec::new();
-    let mut fault_sites: Vec<String> = Vec::new();
-    let mut plan = plan0;
-    let mut reused_keys: Vec<Option<(usize, Vec<u8>)>> = vec![None; plan.ops.len()];
-    let mut lowered: Vec<bool> = vec![true; plan.ops.len()];
+    let mut tier = Tier::Full;
     let mut failed = ctx.failed.clone();
     let mut dead: Vec<NodeId> = Vec::new();
     let mut prev_senders: Option<Vec<usize>> = None;
     let mut carry: Vec<StormFault> = Vec::new();
-    let mut t_base = 0.0f64;
-    let mut retries = 0usize;
-    let mut replans = 0usize;
-    let mut reused_total = 0usize;
-    let mut hedges = 0usize;
-    let mut hedge_wins = 0usize;
-    let mut deadline_hit = false;
-    let mut cross_bytes = 0u64;
-    let mut inner_bytes = 0u64;
-    let mut tier = Tier::Full;
+    let mut slow: Vec<(NodeId, f64)> = Vec::new();
+    let mut hedge_pending: Option<(String, usize)> = None; // (label, hedge node)
 
     let max_generations = storm.generations.len() + cfg.max_replans + 4;
-    let mut g = 0usize;
-    loop {
-        if g > max_generations {
-            return Err(format!(
-                "supervision loop exceeded {max_generations} generations"
-            ));
-        }
-        let pool_before = pool.len();
+    for g in 0..=max_generations {
+        let pool_before = pool.values.len();
         let mut bucket = std::mem::take(&mut carry);
         if let Some(b) = storm.generations.get(g) {
             bucket.extend(b.iter().copied());
@@ -1102,669 +930,291 @@ pub fn supervise_injected(
             &ctx_g,
             &mut rng,
         );
-        carry = gen_faults.deferred.clone();
-        fault_sites.extend(gen_faults.descriptions.iter().cloned());
-
-        let (waves, wave_count) = plan.cross_waves(ctx.topo);
-        let mut sim = Simulator::new(network_for(&ctx_g));
-        let jobs = lower_partial(&mut sim, &plan, &lowered, &ctx.cost, node_count, g, chunk);
-        arm_partial(&mut sim, &jobs, &gen_faults.resolved, &cfg.policy)?;
-        let buffer = Collect::default();
-        let report = {
-            let tagger = PlanTagger::new(&plan, &waves, chunk, &buffer);
-            sim.run_recorded(&tagger)
-        };
-        let events = buffer.into_events();
-        let vecs = plan.symbolic_vectors();
-        let taints = if cfg.proof.active() {
-            gen_taints(
-                &plan,
-                &gen_faults.resolved.lies,
-                &reused_keys,
-                &pool_taint,
-                g,
-            )
-        } else {
-            vec![Vec::new(); plan.ops.len()]
-        };
-
-        if let Some(crash) = gen_faults.resolved.crash {
-            // ---- crash generation: bank partials, replan, splice on. ----
-            let trigger_jobs = jobs[crash.trigger.0]
-                .as_ref()
-                .expect("crash triggers target executed ops");
-            let t_star = first_start(&report, trigger_jobs[0]);
-            let completed = completed_at(&report, &jobs, t_star);
-            retries += report
-                .records
-                .iter()
-                .map(|r| r.failures.iter().filter(|f| f.at <= t_star + EPS).count())
-                .sum::<usize>();
-            for e in events {
-                if e.time() <= t_star + EPS {
-                    rec.record(shift_event(e, t_base));
-                }
-            }
-            let now = t_base + t_star;
-            rec.record(Event::TransferFailed {
-                xfer: send_xfer(&plan, ctx, &waves, g, crash.trigger.0),
-                attempt: 0,
-                reason: reason::NODE_DOWN.to_string(),
-                t: now,
-            });
-            rec.record(Event::HelperCrashed {
-                node: crash.node.0,
-                rack: ctx.topo.rack_of(crash.node).0,
-                t: now,
-            });
-
-            // Health: the dead node failed; completed peers score.
-            tracker.record_failure(crash.node.0);
-            for (n, score) in feed_health(tracker, &plan, &waves, &jobs, &report, &completed) {
-                rec.record(Event::HelperQuarantined { node: n, score, t: now });
-            }
-
-            // Proof plane: sealed evidence for every op that completed
-            // before the crash cut the generation short.
-            let mut accused: Vec<usize> = Vec::new();
-            if cfg.proof.active() {
-                let completed_lies: Vec<usize> = gen_faults
-                    .resolved
-                    .lies
-                    .iter()
-                    .copied()
-                    .filter(|&i| completed[i])
-                    .collect();
-                let dishonest = emit_generation_proofs(
-                    proof_key,
-                    &mut ledger,
-                    &mut proofs_emitted,
-                    &mut proofs_rejected,
-                    &plan,
-                    &vecs,
-                    &taints,
-                    &reused_keys,
-                    &pool_origin,
-                    &completed,
-                    &completed_lies,
-                    chunk,
-                    g,
-                    now,
-                    rec,
-                );
-                if cfg.proof == ProofMode::Mandatory {
-                    accused = dishonest;
-                }
-            }
-
-            // Bank completed partials (not the dead node's) and traffic.
-            // With Mandatory proofs, evidence-tainted partials never bank.
-            for (i, done) in completed.iter().enumerate() {
-                let loc = plan.ops[i].output_location();
-                if *done && loc != crash.node && !dead.contains(&loc) {
-                    if cfg.proof == ProofMode::Mandatory && !taints[i].is_empty() {
-                        continue;
-                    }
-                    pool.insert((loc.0, vecs[i].clone()), ());
-                    if cfg.proof.active() {
-                        pool_taint.insert((loc.0, vecs[i].clone()), taints[i].clone());
-                        pool_origin.insert((loc.0, vecs[i].clone()), (g, i));
-                    }
-                }
-            }
-            count_traffic(&plan, ctx, &completed, &mut cross_bytes, &mut inner_bytes);
-            dead.push(crash.node);
-            pool.retain(|(n, _), _| *n != crash.node.0);
-            pool_taint.retain(|(n, _), _| *n != crash.node.0);
-            pool_origin.retain(|(n, _), _| *n != crash.node.0);
-            for n in accused {
-                rec.record(Event::HelperAccused {
-                    node: n,
-                    gen: g,
-                    t: now,
-                });
-                tracker.accuse(n);
-                accusations += 1;
-                pool.retain(|(pn, _), _| *pn != n);
-                pool_taint.retain(|(pn, _), _| *pn != n);
-                pool_origin.retain(|(pn, _), _| *pn != n);
-            }
-
-            generations.push(GenerationRecord {
-                scheme: plan.scheme.to_string(),
-                tier,
-                executed_ops: lowered.iter().filter(|l| **l).count(),
-                reused_ops: reused_keys.iter().filter(|r| r.is_some()).count(),
-                completed_ops: completed.iter().filter(|c| **c).count(),
-                pool_before,
-                crashed: Some(crash.node.0),
-                faults: bucket.iter().map(|f| f.name().to_string()).collect(),
-            });
-
-            // The dead helper's block joins the failure set.
-            let block = ctx
-                .placement
-                .block_on(crash.node)
-                .expect("crash candidates host blocks");
-            failed.push(block);
-            if failed.len() > ctx.params().k {
-                return Err(format!(
-                    "supervise: {} failures exceed k = {} — stripe unrecoverable",
-                    failed.len(),
-                    ctx.params().k
-                ));
-            }
-            replans += 1;
-
-            // Deadline check at the crash instant.
-            if let Some(d) = cfg.deadline {
-                if now > d && !deadline_hit {
-                    deadline_hit = true;
-                    rec.record(Event::DeadlineExceeded {
-                        scope: "repair".to_string(),
-                        budget: d,
-                        elapsed: now,
-                        t: now,
-                    });
-                }
-            }
-
-            // Tier ladder: replan budget first, deadline breach second.
-            let excess = replans.saturating_sub(cfg.max_replans);
-            let mut next_tier = match excess {
-                0 => Tier::Full,
-                1 => Tier::Traditional,
-                _ => Tier::DegradedRead,
-            };
-            if deadline_hit && next_tier < Tier::Traditional {
-                next_tier = Tier::Traditional;
-            }
-            if next_tier > tier {
-                rec.record(Event::DegradedFallback {
-                    tier: next_tier.name().to_string(),
-                    reason: if deadline_hit && excess == 0 {
-                        "deadline exceeded".to_string()
-                    } else {
-                        format!("replan budget ({}) exhausted", cfg.max_replans)
-                    },
-                    t: now,
-                });
-                tier = next_tier;
-            }
-
-            // Next generation's context: grown failure set, pinned
-            // recovery (or a degraded-read client), quarantine-aware.
-            let recovery = plan.recovery;
-            ctx_g = ctx.clone();
-            ctx_g.failed = failed.clone();
-            if tier == Tier::DegradedRead {
-                if let Some(client) = degraded_client(&ctx_g, &dead, recovery) {
-                    ctx_g = ctx_g.with_recovery_node(client);
-                } else {
-                    ctx_g.recovery_node_override = Some(recovery);
-                    ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-                }
-            } else {
-                ctx_g.recovery_node_override = Some(recovery);
-                ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-            }
-            let mut avoid = avoid_nodes(tracker);
-            avoid.retain(|n| !dead.contains(n));
-            let rep = {
-                let avoided = ctx_g.clone().with_avoided(avoid);
-                plan_with_pool(&avoided, &pool, tier).or_else(|_| {
-                    plan_with_pool(&ctx_g, &pool, tier)
-                })?
-            };
-            reused_total += rep.reused_count();
-            rec.record(Event::Replanned {
-                scheme: rep.plan.scheme.to_string(),
-                failed: failed.len(),
-                reused_ops: rep.reused_count(),
-                t: now,
-            });
-
-            prev_senders = Some({
-                let mut ns: Vec<usize> = plan
-                    .ops
-                    .iter()
-                    .filter_map(|op| match op {
-                        Op::Send { from, to, .. } if !ctx.topo.same_rack(*from, *to) => {
-                            Some(from.0)
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                ns.sort_unstable();
-                ns.dedup();
-                ns
-            });
-            plan = rep.plan;
-            reused_keys = rep.reused;
-            lowered = rep.lowered;
-            t_base = now + cfg.policy.delay(replans - 1);
-            tracker.tick_generation();
-            g += 1;
-            continue;
-        }
-
-        // ---- crash-free generation: hedge, check deadlines, finish. ----
-        let mut makespan = report.makespan;
-        retries += report
-            .records
+        carry = gen_faults.deferred;
+        out.fault_sites.extend(gen_faults.descriptions);
+        let mut faults = gen_faults.resolved;
+        check_retry_budget(&faults.op_faults, &cfg.policy).map_err(RetriesExhausted)?;
+        slow.extend(faults.slow.iter().copied());
+        faults.slow = slow.clone();
+        let prefilled: Vec<Option<B::Value>> = reused
             .iter()
-            .map(|r| r.failures.len())
-            .sum::<usize>();
-        let completed_all = lowered.clone();
+            .map(|k| k.as_ref().and_then(|key| pool.values.get(key).cloned()))
+            .collect();
+        if let Some(i) =
+            (0..plan.ops.len()).find(|&i| reused[i].is_some() && prefilled[i].is_none())
+        {
+            return Err(Unrecoverable(format!(
+                "op {i}: reused partial evicted from the pool before execution"
+            )));
+        }
+        let vecs = plan.symbolic_vectors();
+        let avoided = quarantined(tracker);
+        // Hedge at most once per repair, and never in a generation a
+        // crash or an enforced proof rejection will fail anyway.
+        let lying = mandatory && !faults.lies.is_empty();
+        let hedge = cfg
+            .hedge
+            .filter(|_| faults.crash.is_none() && !lying && out.hedges == 0);
+        let gen = Generation {
+            index: g,
+            ctx: &ctx_g,
+            plan: &plan,
+            vecs: &vecs,
+            lowered: &lowered,
+            reused: &reused,
+            prefilled: &prefilled,
+            faults: &faults,
+            policy: &cfg.policy,
+            hedge,
+            tier,
+            pool: &pool,
+            dead: &dead,
+            quarantined: &avoided,
+        };
+        let run = backend.run(&gen, rec)?;
+        let now = run.end;
+        let completed: Vec<bool> = run.values.iter().map(Option::is_some).collect();
+        out.retries += run.retries;
+        let (cross, inner) = match &run.splice {
+            Some(s) if s.won => s.moved,
+            _ => send_bytes(&plan, ctx.topo, &completed),
+        };
+        out.cross_bytes += cross;
+        out.inner_bytes += inner;
+        if let Some(s) = &run.splice {
+            out.hedges += 1;
+            if s.won {
+                out.hedge_wins += 1;
+                out.reused_ops += s.reused;
+            }
+        }
 
-        // ---- proof-rejected generation (Mandatory): the generation ran
-        // to completion — a lie is invisible to the transport layer — but
-        // end-of-generation verification rejects the liar's proof. Fail
-        // the generation, accuse and quarantine the liar on evidence,
-        // purge its banked partials, and replan without it. ----
-        if cfg.proof == ProofMode::Mandatory && !gen_faults.resolved.lies.is_empty() {
-            let now = t_base + makespan;
-            for e in events {
-                rec.record(shift_event(e, t_base));
+        let evidence = if cfg.proof.active() {
+            backend.evidence(&gen, &run, proof_key)
+        } else {
+            Evidence {
+                proofs: Vec::new(),
+                taints: vec![Vec::new(); plan.ops.len()],
+                dishonest: Vec::new(),
             }
-            count_traffic(&plan, ctx, &lowered, &mut cross_bytes, &mut inner_bytes);
-            for (n, score) in feed_health(tracker, &plan, &waves, &jobs, &report, &completed_all) {
-                rec.record(Event::HelperQuarantined { node: n, score, t: now });
-            }
-            let dishonest = emit_generation_proofs(
-                proof_key,
-                &mut ledger,
-                &mut proofs_emitted,
-                &mut proofs_rejected,
-                &plan,
-                &vecs,
-                &taints,
-                &reused_keys,
-                &pool_origin,
-                &completed_all,
-                &gen_faults.resolved.lies,
-                chunk,
-                g,
-                now,
-                rec,
-            );
-            // Bank only taint-free partials: the tainted chain is
-            // worthless evidence-backed garbage, and the liar's own
-            // entries (old and new) are purged below.
-            for (i, done) in completed_all.iter().enumerate() {
-                let loc = plan.ops[i].output_location();
-                if *done && !dead.contains(&loc) && taints[i].is_empty() {
-                    pool.insert((loc.0, vecs[i].clone()), ());
-                    pool_taint.insert((loc.0, vecs[i].clone()), Vec::new());
-                    pool_origin.insert((loc.0, vecs[i].clone()), (g, i));
-                }
-            }
-            for &n in &dishonest {
-                rec.record(Event::HelperAccused {
-                    node: n,
-                    gen: g,
-                    t: now,
-                });
-                tracker.accuse(n);
-                accusations += 1;
-            }
-            pool.retain(|(n, _), _| !dishonest.contains(n));
-            pool_taint.retain(|(n, _), _| !dishonest.contains(n));
-            pool_origin.retain(|(n, _), _| !dishonest.contains(n));
-
-            generations.push(GenerationRecord {
-                scheme: plan.scheme.to_string(),
-                tier,
-                executed_ops: lowered.iter().filter(|l| **l).count(),
-                reused_ops: reused_keys.iter().filter(|r| r.is_some()).count(),
-                completed_ops: completed_all.iter().filter(|c| **c).count(),
-                pool_before,
-                crashed: None,
-                faults: bucket.iter().map(|f| f.name().to_string()).collect(),
+        };
+        let crashed = faults.crash.map(|c| c.node);
+        // A lie finishes at the transport level; under Mandatory proofs
+        // the evidence fails the generation instead.
+        let convicted = crashed.is_none() && mandatory && !evidence.dishonest.is_empty();
+        // (op, sender) of the send a hedge cancelled the generation over.
+        let straggler = run
+            .cancelled
+            .filter(|_| crashed.is_none() && !convicted)
+            .map(|i| match &plan.ops[i] {
+                Op::Send { from, .. } => (i, *from),
+                Op::Combine { .. } => unreachable!("hedges cancel straggling sends"),
             });
-            replans += 1;
 
-            if let Some(d) = cfg.deadline {
-                if now > d && !deadline_hit {
-                    deadline_hit = true;
-                    rec.record(Event::DeadlineExceeded {
-                        scope: "repair".to_string(),
-                        budget: d,
-                        elapsed: now,
-                        t: now,
-                    });
-                }
-            }
-            let excess = replans.saturating_sub(cfg.max_replans);
-            let mut next_tier = match excess {
-                0 => Tier::Full,
-                1 => Tier::Traditional,
-                _ => Tier::DegradedRead,
-            };
-            if deadline_hit && next_tier < Tier::Traditional {
-                next_tier = Tier::Traditional;
-            }
-            if next_tier > tier {
-                rec.record(Event::DegradedFallback {
-                    tier: next_tier.name().to_string(),
-                    reason: if deadline_hit && excess == 0 {
-                        "deadline exceeded".to_string()
-                    } else {
-                        format!("replan budget ({}) exhausted", cfg.max_replans)
-                    },
-                    t: now,
-                });
-                tier = next_tier;
-            }
-
-            // Next generation: same failure set (the liar's block is
-            // intact — it lied about bytes, it did not die), recovery
-            // pinned, and the accusation-quarantine steers helper
-            // selection away from the liar.
-            let recovery = plan.recovery;
-            ctx_g = ctx.clone();
-            ctx_g.failed = failed.clone();
-            if tier == Tier::DegradedRead {
-                if let Some(client) = degraded_client(&ctx_g, &dead, recovery) {
-                    ctx_g = ctx_g.with_recovery_node(client);
-                } else {
-                    ctx_g.recovery_node_override = Some(recovery);
-                    ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-                }
-            } else {
-                ctx_g.recovery_node_override = Some(recovery);
-                ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-            }
-            let mut avoid = avoid_nodes(tracker);
-            avoid.retain(|n| !dead.contains(n));
-            let rep = {
-                let avoided = ctx_g.clone().with_avoided(avoid);
-                plan_with_pool(&avoided, &pool, tier)
-                    .or_else(|_| plan_with_pool(&ctx_g, &pool, tier))?
-            };
-            reused_total += rep.reused_count();
-            rec.record(Event::Replanned {
-                scheme: rep.plan.scheme.to_string(),
-                failed: failed.len(),
-                reused_ops: rep.reused_count(),
+        // Health: the generation's failed node scores first, then every
+        // completed send against its link-class peers.
+        if let Some(n) = crashed.or(straggler.map(|(_, n)| n)) {
+            tracker.record_failure(n.0);
+        }
+        for (node, score) in feed_health(tracker, &plan, ctx.topo, &run.send_durations) {
+            rec.record(Event::HelperQuarantined {
+                node,
+                score,
                 t: now,
             });
-            prev_senders = Some({
-                let mut ns: Vec<usize> = plan
-                    .ops
-                    .iter()
-                    .filter_map(|op| match op {
-                        Op::Send { from, to, .. } if !ctx.topo.same_rack(*from, *to) => {
-                            Some(from.0)
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                ns.sort_unstable();
-                ns.dedup();
-                ns
-            });
-            plan = rep.plan;
-            reused_keys = rep.reused;
-            lowered = rep.lowered;
-            t_base = now + cfg.policy.delay(replans - 1);
-            tracker.tick_generation();
-            g += 1;
-            continue;
         }
-
-        let mut hedge_cut: Option<f64> = None; // replay original events up to here
-        let mut hedge_events: Vec<(Event, f64)> = Vec::new(); // (event, shift)
-
-        if let Some(fixed) = cfg.hedge {
-            // Adaptive mode widens the straggler threshold when the
-            // tracked fleet is broadly slow, so only true outliers — not
-            // helpers pacing a degraded cluster — trigger a hedge.
-            let mult = if cfg.adaptive_hedge {
-                cfg.policy
-                    .straggler_multiple(fixed, &tracker.observed_slowdowns())
-            } else {
-                fixed
-            };
-            if let Some((slow_i, _, detect)) = find_straggler(&plan, &waves, &jobs, &report, mult)
-            {
-                let Op::Send { from, .. } = &plan.ops[slow_i] else {
-                    unreachable!("stragglers are sends");
-                };
-                let slow_node = *from;
-                let done_at_detect = completed_at(&report, &jobs, detect);
-                let mut hedge_pool = pool.clone();
-                for (i, done) in done_at_detect.iter().enumerate() {
-                    let loc = plan.ops[i].output_location();
-                    if *done && !dead.contains(&loc) {
-                        hedge_pool.insert((loc.0, vecs[i].clone()), ());
-                    }
-                }
-                let mut avoid = avoid_nodes(tracker);
-                if !avoid.contains(&slow_node) {
-                    avoid.push(slow_node);
-                }
-                avoid.retain(|n| !dead.contains(n));
-                // Hedge only if an alternative exists without the slow
-                // node — no unfiltered fallback here, that would just
-                // rebuild the same straggling plan.
-                if let Ok(hrep) =
-                    plan_with_pool(&ctx_g.clone().with_avoided(avoid), &hedge_pool, tier)
-                {
-                    let hedge_node = hrep
-                        .plan
-                        .ops
-                        .iter()
-                        .find_map(|op| match op {
-                            Op::Send { from, to, .. }
-                                if !ctx.topo.same_rack(*from, *to) && *from != slow_node =>
-                            {
-                                Some(from.0)
-                            }
-                            _ => None,
-                        })
-                        .unwrap_or(hrep.plan.recovery.0);
-                    let mut hsim = Simulator::new(network_for(&ctx_g));
-                    let _hjobs = lower_partial(
-                        &mut hsim,
-                        &hrep.plan,
-                        &hrep.lowered,
-                        &ctx.cost,
-                        node_count,
-                        g + 1,
-                        chunk,
-                    );
-                    for &(node, factor) in &gen_faults.resolved.slow {
-                        hsim.derate_node(node, factor);
-                    }
-                    let (hwaves, _) = hrep.plan.cross_waves(ctx.topo);
-                    let hbuffer = Collect::default();
-                    let hreport = {
-                        let htagger = PlanTagger::new(&hrep.plan, &hwaves, chunk, &hbuffer);
-                        hsim.run_recorded(&htagger)
-                    };
-                    hedges += 1;
-                    rec.record(Event::HedgeLaunched {
-                        label: format!("p{g}op{slow_i}:send"),
-                        slow_node: slow_node.0,
-                        hedge_node,
-                        multiple: mult,
-                        t: t_base + detect,
-                    });
-                    let hedged_makespan = detect + hreport.makespan;
-                    if hedged_makespan + EPS < makespan {
-                        hedge_wins += 1;
-                        // Adopt the hedged timeline: original events up
-                        // to detection, then the alternative's.
-                        hedge_cut = Some(detect);
-                        for e in hbuffer.into_events() {
-                            hedge_events.push((e, t_base + detect));
-                        }
-                        hedge_events.push((
-                            Event::HedgeWon {
-                                label: format!("p{g}op{slow_i}:send"),
-                                winner_node: hedge_node,
-                                saved: makespan - hedged_makespan,
-                                t: t_base + hedged_makespan,
-                            },
-                            0.0,
-                        ));
-                        makespan = hedged_makespan;
-                        count_traffic(
-                            &plan,
-                            ctx,
-                            &done_at_detect,
-                            &mut cross_bytes,
-                            &mut inner_bytes,
-                        );
-                        count_traffic(
-                            &hrep.plan,
-                            ctx,
-                            &hrep.lowered,
-                            &mut cross_bytes,
-                            &mut inner_bytes,
-                        );
-                        reused_total += hrep.reused_count();
-                    }
-                }
-            }
-        }
-
-        // Health scores + quarantine events at generation end.
-        let newly = feed_health(tracker, &plan, &waves, &jobs, &report, &completed_all);
-
-        // Replay the generation's events (hedged splice or straight).
-        match hedge_cut {
-            Some(cut) => {
-                for e in events {
-                    if e.time() <= cut + EPS {
-                        rec.record(shift_event(e, t_base));
-                    }
-                }
-                for (e, shift) in hedge_events {
-                    rec.record(shift_event(e, shift));
-                }
-            }
-            None => {
-                for e in events {
-                    rec.record(shift_event(e, t_base));
-                }
-                for (e, shift) in hedge_events {
-                    rec.record(shift_event(e, shift));
-                }
-                count_traffic(&plan, ctx, &lowered, &mut cross_bytes, &mut inner_bytes);
-            }
-        }
-        let total_time = t_base + makespan;
-        for (n, score) in newly {
-            rec.record(Event::HelperQuarantined {
-                node: n,
-                score,
-                t: total_time,
-            });
-        }
-
-        // Deadline hierarchy: per-wave budgets proportional to the clean
-        // run's spans, then the whole-repair budget.
-        if let Some(d) = cfg.deadline {
-            let spans = wave_spans(&waves, wave_count, &jobs, &report);
-            for (w, &(start, finish)) in spans.iter().enumerate() {
-                if !start.is_finite() {
-                    continue;
-                }
-                let Some(&(cs, cf)) = clean_spans.get(w) else {
-                    continue;
-                };
-                if !cs.is_finite() {
-                    continue;
-                }
-                let budget = d * (cf - cs) / clean_total;
-                let actual = finish - start;
-                if actual > budget + EPS {
-                    rec.record(Event::DeadlineExceeded {
-                        scope: "wave".to_string(),
-                        budget,
-                        elapsed: actual,
-                        t: t_base + finish,
-                    });
-                }
-            }
-            if total_time > d && !deadline_hit {
-                deadline_hit = true;
-                rec.record(Event::DeadlineExceeded {
-                    scope: "repair".to_string(),
-                    budget: d,
-                    elapsed: total_time,
-                    t: total_time,
-                });
-            }
-        }
-
-        generations.push(GenerationRecord {
+        let record = GenerationRecord {
             scheme: plan.scheme.to_string(),
             tier,
             executed_ops: lowered.iter().filter(|l| **l).count(),
-            reused_ops: reused_keys.iter().filter(|r| r.is_some()).count(),
-            completed_ops: lowered.iter().filter(|l| **l).count(),
+            reused_ops: reused.iter().filter(|r| r.is_some()).count(),
+            completed_ops: completed.iter().filter(|c| **c).count(),
             pool_before,
-            crashed: None,
+            crashed: crashed.map(|n| n.0),
             faults: bucket.iter().map(|f| f.name().to_string()).collect(),
-        });
-        // The final generation's proofs. Advisory records any lie as a
-        // rejection without acting on it; Mandatory can only reach here
-        // lie-free (a rejected proof fails the generation above).
-        if cfg.proof.active() {
-            let completed_lies: Vec<usize> = gen_faults
-                .resolved
-                .lies
-                .iter()
-                .copied()
-                .filter(|&i| completed_all[i])
-                .collect();
-            emit_generation_proofs(
-                proof_key,
-                &mut ledger,
-                &mut proofs_emitted,
-                &mut proofs_rejected,
-                &plan,
-                &vecs,
-                &taints,
-                &reused_keys,
-                &pool_origin,
-                &completed_all,
-                &completed_lies,
-                chunk,
-                g,
-                total_time,
-                rec,
-            );
-        }
-        rec.record(Event::RepairDone {
-            t: total_time,
-            cross_bytes,
-            inner_bytes,
-        });
-        tracker.tick_generation();
+        };
 
-        return Ok(SuperviseOutcome {
-            repair_time: total_time,
-            clean_time,
-            generations,
-            retries,
-            replans,
-            reused_ops: reused_total,
-            final_scheme: plan.scheme.to_string(),
-            final_tier: tier,
-            hedges,
-            hedge_wins,
-            deadline_hit,
-            fault_sites,
-            cross_bytes,
-            inner_bytes,
-            proofs_emitted,
-            proofs_rejected,
-            accusations,
-            ledger,
+        if crashed.is_none() && !convicted && straggler.is_none() {
+            // ---- completion ----
+            let report = backend.complete(&gen, &run, rec)?;
+            if let Some((label, winner_node)) = hedge_pending.take() {
+                // The executor cannot run the cancelled original to
+                // completion, so the saving is unknowable there.
+                out.hedge_wins += 1;
+                rec.record(Event::HedgeWon {
+                    label,
+                    winner_node,
+                    saved: 0.0,
+                    t: now,
+                });
+            }
+            check_deadline(cfg, now, &mut out.deadline_hit, rec);
+            out.generations.push(record);
+            seal(&mut out, evidence.proofs, g, now, rec);
+            rec.record(Event::RepairDone {
+                t: now,
+                cross_bytes: out.cross_bytes,
+                inner_bytes: out.inner_bytes,
+            });
+            tracker.tick_generation();
+            out.repair_time = now;
+            out.final_scheme = plan.scheme.to_string();
+            out.final_tier = tier;
+            return Ok((out, report));
+        }
+
+        // ---- failed generation: bank partials, accuse, replan. ----
+        seal(&mut out, evidence.proofs, g, now, rec);
+        // Bank completed partials whose host is alive. Under Mandatory
+        // proofs, evidence-tainted partials never bank.
+        for (i, v) in run.values.into_iter().enumerate() {
+            let Some(v) = v else { continue };
+            let loc = plan.ops[i].output_location();
+            if Some(loc) == crashed
+                || dead.contains(&loc)
+                || (mandatory && !evidence.taints[i].is_empty())
+            {
+                continue;
+            }
+            let key = (loc.0, vecs[i].clone());
+            if cfg.proof.active() {
+                pool.taint.insert(key.clone(), evidence.taints[i].clone());
+                pool.origin.insert(key.clone(), (g, i));
+            }
+            pool.values.insert(key, v);
+        }
+        if let Some(n) = crashed {
+            dead.push(n);
+            pool.purge(n.0);
+        }
+        if mandatory {
+            for &n in &evidence.dishonest {
+                rec.record(Event::HelperAccused {
+                    node: n,
+                    gen: g,
+                    t: now,
+                });
+                tracker.accuse(n);
+                out.accusations += 1;
+                pool.purge(n);
+            }
+        }
+        out.generations.push(record);
+
+        if straggler.is_none() {
+            if let Some(n) = crashed {
+                // The dead helper's block joins the failure set.
+                failed.push(
+                    ctx.placement
+                        .block_on(n)
+                        .expect("crash candidates host blocks"),
+                );
+                if failed.len() > ctx.params().k {
+                    return Err(Unrecoverable(format!(
+                        "supervise: {} failures exceed k = {} — stripe unrecoverable",
+                        failed.len(),
+                        ctx.params().k
+                    )));
+                }
+            }
+            out.replans += 1;
+            check_deadline(cfg, now, &mut out.deadline_hit, rec);
+            // Tier ladder: replan budget first, deadline breach second.
+            let excess = out.replans.saturating_sub(cfg.max_replans);
+            let mut next_tier = match excess {
+                0 => Tier::Full,
+                1 => Tier::Traditional,
+                _ => Tier::DegradedRead,
+            };
+            if out.deadline_hit && next_tier < Tier::Traditional {
+                next_tier = Tier::Traditional;
+            }
+            if next_tier > tier {
+                rec.record(Event::DegradedFallback {
+                    tier: next_tier.name().to_string(),
+                    reason: if out.deadline_hit && excess == 0 {
+                        "deadline exceeded".to_string()
+                    } else {
+                        format!("replan budget ({}) exhausted", cfg.max_replans)
+                    },
+                    t: now,
+                });
+                tier = next_tier;
+            }
+            ctx_g = next_context(ctx, &failed, plan.recovery, tier, &dead);
+        }
+
+        // Replan around the dead, accused, quarantined and straggling
+        // nodes, reusing the pool.
+        let mut avoid = quarantined(tracker);
+        if let Some((_, n)) = straggler.filter(|(_, n)| !avoid.contains(n)) {
+            avoid.push(n);
+        }
+        avoid.retain(|n| !dead.contains(n));
+        let rep = plan_with_pool(&ctx_g.clone().with_avoided(avoid), &pool.values, tier)
+            .or_else(|_| plan_with_pool(&ctx_g, &pool.values, tier))
+            .map_err(Unrecoverable)?;
+        out.reused_ops += rep.reused_count();
+        if let Some((i, slow_node)) = straggler {
+            // The alternative runs as the next generation; it wins if it
+            // completes the repair.
+            let hedge_node = hedge_node(&rep.plan, ctx.topo, slow_node);
+            let label = format!("p{g}op{i}:send");
+            rec.record(Event::HedgeLaunched {
+                label: label.clone(),
+                slow_node: slow_node.0,
+                hedge_node,
+                multiple: cfg.hedge.expect("a cancelled generation was hedged"),
+                t: now,
+            });
+            out.hedges += 1;
+            hedge_pending = Some((label, hedge_node));
+        } else {
+            rec.record(Event::Replanned {
+                scheme: rep.plan.scheme.to_string(),
+                failed: failed.len(),
+                reused_ops: rep.reused_count(),
+                t: now,
+            });
+            backend.backoff(now, cfg.policy.delay(out.replans - 1));
+        }
+        prev_senders = Some(cross_senders(&plan, ctx.topo));
+        (plan, reused, lowered) = (rep.plan, rep.reused, rep.lowered);
+        tracker.tick_generation();
+    }
+    Err(Unrecoverable(format!(
+        "supervision loop exceeded {max_generations} generations"
+    )))
+}
+
+/// Record a generation's proofs: each seals into the ledger with a
+/// `proof_emitted` event, plus `proof_rejected` when its output
+/// disagrees with the expected witness.
+fn seal(
+    out: &mut SuperviseOutcome,
+    proofs: Vec<RepairProof>,
+    g: usize,
+    now: f64,
+    rec: &dyn Recorder,
+) {
+    for proof in proofs {
+        let (op, node, honest) = (proof.op, proof.node, proof.honest_output());
+        out.ledger.push(g, proof);
+        out.proofs_emitted += 1;
+        rec.record(Event::ProofEmitted {
+            op,
+            node,
+            gen: g,
+            t: now,
         });
+        if !honest {
+            out.proofs_rejected += 1;
+            rec.record(Event::ProofRejected {
+                op,
+                node,
+                gen: g,
+                t: now,
+            });
+        }
     }
 }

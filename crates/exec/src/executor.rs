@@ -11,12 +11,13 @@ use parking_lot::Mutex;
 use rpr_codec::BlockId;
 use rpr_core::robust::{replan_after_crash, resolve, ResolvedFaults};
 use rpr_core::{
-    chunk_sizes, combine_kernel, degraded_client, plan_with_pool, resolve_storm_bucket,
-    GenerationRecord, Input, Op, Payload, RepairContext, RepairPlan, SuperviseConfig, Tier,
+    check_retry_budget, chunk_sizes, combine_kernel, plan_built, supervise, Evidence, Generation,
+    GenerationRecord, GenerationRun, Input, Op, Payload, RepairBackend, RepairContext, RepairPlan,
+    SuperviseConfig, Tier,
 };
-use rpr_faults::{checksum64, reason, FaultPlan, FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault};
+use rpr_faults::{checksum64, reason, FaultPlan, FaultStorm, HealthTracker, RetryPolicy};
 use rpr_obs::{Event, Recorder};
-use rpr_proof::{hash_bytes, ProofKey, ProofLedger, ProofMode, ProofSource, RepairProof};
+use rpr_proof::{hash_bytes, ProofKey, ProofLedger, ProofSource, RepairProof};
 use rpr_topology::NodeId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -78,26 +79,10 @@ pub struct ExecReport {
     pub first_byte_seconds: Option<f64>,
 }
 
-/// Why a fault-injected execution could not complete.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExecError {
-    /// The fault plan does not apply to this repair, or the crash made the
-    /// stripe unrecoverable (more than `k` total failures).
-    Unrecoverable(String),
-    /// A transfer's injected failures exhaust the retry budget.
-    RetriesExhausted(String),
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::Unrecoverable(m) => write!(f, "unrecoverable: {m}"),
-            ExecError::RetriesExhausted(m) => write!(f, "retries exhausted: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for ExecError {}
+/// Why a fault-injected execution could not complete: the fault plan
+/// does not apply or made the stripe unrecoverable, or a transfer's
+/// injected failures exhaust the retry budget.
+pub use rpr_core::SuperviseError as ExecError;
 
 /// The result of a fault-injected, supervised execution.
 #[derive(Clone, Debug)]
@@ -248,7 +233,7 @@ pub fn execute_recorded(
     rec: &dyn Recorder,
 ) -> ExecReport {
     check_stripe(plan, stripe);
-    record_plan_built(plan, ctx, rec);
+    rec.record(plan_built(plan, ctx.topo));
     let t0 = Instant::now();
     let lowered = vec![true; plan.ops.len()];
     let prefilled: Vec<Option<Arc<Vec<u8>>>> = vec![None; plan.ops.len()];
@@ -294,17 +279,8 @@ pub fn execute_resilient(
 ) -> Result<ResilientReport, ExecError> {
     check_stripe(plan, stripe);
     let resolved = resolve(plan, ctx.topo, fp).map_err(ExecError::Unrecoverable)?;
-    for (i, fs) in resolved.op_faults.iter().enumerate() {
-        if !fs.is_empty() && fs.len() >= policy.max_attempts {
-            return Err(ExecError::RetriesExhausted(format!(
-                "op {i}: {} injected failures exhaust the retry budget \
-                 (max_attempts = {})",
-                fs.len(),
-                policy.max_attempts
-            )));
-        }
-    }
-    record_plan_built(plan, ctx, rec);
+    check_retry_budget(&resolved.op_faults, policy).map_err(ExecError::RetriesExhausted)?;
+    rec.record(plan_built(plan, ctx.topo));
     let t0 = Instant::now();
     let all = vec![true; plan.ops.len()];
     let no_prefill: Vec<Option<Arc<Vec<u8>>>> = vec![None; plan.ops.len()];
@@ -519,118 +495,36 @@ fn run_watched(
     (run, fired.load(Ordering::SeqCst))
 }
 
-/// Feed per-sender health scores from one generation's wall-clock
-/// timings: each completed send scores its source node against the
-/// median duration of its link class (cross vs inner — peers move the
-/// same block size over the same class). Returns nodes *newly*
-/// quarantined.
-fn feed_supervised_health(
-    tracker: &mut HealthTracker,
-    plan: &RepairPlan,
-    ctx: &RepairContext<'_>,
-    timings: &[OpTiming],
-    completed: &[bool],
-) -> Vec<(usize, f64)> {
-    let before = tracker.quarantined();
-    let mut groups: HashMap<bool, Vec<(usize, f64)>> = HashMap::new();
-    for (i, op) in plan.ops.iter().enumerate() {
-        if !completed[i] {
-            continue;
-        }
-        let Op::Send { from, to, .. } = op else {
-            continue;
-        };
-        if *from == plan.recovery {
-            continue;
-        }
-        let dur = timings[i].end - timings[i].start;
-        if dur <= 0.0 {
-            continue;
-        }
-        groups
-            .entry(!ctx.topo.same_rack(*from, *to))
-            .or_default()
-            .push((from.0, dur));
-    }
-    for cross in [false, true] {
-        let Some(members) = groups.get(&cross) else {
-            continue;
-        };
-        if members.len() < 2 {
-            continue;
-        }
-        let mut durs: Vec<f64> = members.iter().map(|&(_, d)| d).collect();
-        durs.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
-        let mid = durs.len() / 2;
-        let median = if durs.len() % 2 == 1 {
-            durs[mid]
-        } else {
-            0.5 * (durs[mid - 1] + durs[mid])
-        };
-        for &(node, dur) in members {
-            tracker.record_success(node, dur, median);
-        }
-    }
-    tracker
-        .quarantined()
-        .into_iter()
-        .filter(|n| !before.contains(n))
-        .map(|n| (n, tracker.score(n)))
-        .collect()
-}
-
-/// Distinct cross-rack sender nodes of a plan, sorted — the anchor for
-/// [`rpr_faults::CrashSite::NewHelper`] resolution next generation.
-fn cross_sender_nodes(plan: &RepairPlan, ctx: &RepairContext<'_>) -> Vec<usize> {
-    let mut ns: Vec<usize> = plan
-        .ops
-        .iter()
-        .filter_map(|op| match op {
-            Op::Send { from, to, .. } if !ctx.topo.same_rack(*from, *to) => Some(from.0),
-            _ => None,
-        })
-        .collect();
-    ns.sort_unstable();
-    ns.dedup();
-    ns
-}
-
-/// Emit one generation's [`RepairProof`]s from the real bytes the attempt
+/// The executor's proof evidence, taken from the real bytes a generation
 /// produced. Every op with an available value (executed this generation
-/// or re-served from the partial pool) gets an entry: the output hash is
+/// or re-served from the partial pool) gets a proof: the output hash is
 /// taken over the actual bytes, the expected hash over the ground-truth
 /// GF linear combination of the op's symbolic coefficient vector applied
 /// to the original stripe, and the inputs bind each consumed edge to its
-/// producer's recorded output. Returns which ops are tainted (output ≠
-/// expected) and which nodes the evidence convicts: a node is accused
-/// only when its op's output is wrong *and* every recorded input matches
-/// the producer's expected value — exactly the localization rule the
-/// offline auditor applies, so online accusations and `rpr audit` agree.
-#[allow(clippy::too_many_arguments)]
-fn exec_generation_proofs(
-    key: ProofKey,
-    ledger: &mut ProofLedger,
-    emitted: &mut usize,
-    rejected: &mut usize,
-    plan: &RepairPlan,
-    ctx: &RepairContext<'_>,
+/// producer's recorded output. An op is tainted when output ≠ expected;
+/// a node is convicted only when its op's output is wrong *and* every
+/// recorded input matches the producer's expected value — exactly the
+/// localization rule the offline auditor applies, so online accusations
+/// and `rpr audit` agree.
+fn byte_evidence(
+    gen: &Generation<'_, '_, Arc<Vec<u8>>>,
+    run: &GenerationRun<Arc<Vec<u8>>>,
     stripe: &[Vec<u8>],
-    vecs: &[Vec<u8>],
-    values: &[Option<Arc<Vec<u8>>>],
-    reused: &[bool],
-    g: usize,
-    now: f64,
-    rec: &dyn Recorder,
-) -> (Vec<bool>, Vec<usize>) {
+    key: ProofKey,
+) -> Evidence {
+    let (plan, vecs) = (gen.plan, gen.vecs);
     let block_hashes: Vec<u128> = stripe.iter().map(|b| hash_bytes(key, b)).collect();
-    let sizes = chunk_sizes(plan.block_bytes, ctx.effective_chunk());
+    let sizes = chunk_sizes(plan.block_bytes, gen.ctx.effective_chunk());
     let (chunks, chunk_bytes) = (sizes.len(), sizes[0]);
     let mut out_hash: Vec<Option<u128>> = vec![None; plan.ops.len()];
     let mut exp_hash: Vec<Option<u128>> = vec![None; plan.ops.len()];
-    let mut tainted = vec![false; plan.ops.len()];
-    let mut accused: Vec<usize> = Vec::new();
+    let mut taints = vec![Vec::new(); plan.ops.len()];
+    let mut proofs = Vec::new();
+    let mut dishonest: Vec<usize> = Vec::new();
     for (i, op) in plan.ops.iter().enumerate() {
-        let Some(v) = &values[i] else { continue };
+        let Some(v) = run.values[i].as_ref().or(gen.prefilled[i].as_ref()) else {
+            continue;
+        };
         let mut expected = vec![0u8; plan.block_bytes as usize];
         for (b, &c) in vecs[i].iter().enumerate() {
             if c != 0 {
@@ -641,10 +535,12 @@ fn exec_generation_proofs(
         let eh = hash_bytes(key, &expected);
         out_hash[i] = Some(oh);
         exp_hash[i] = Some(eh);
-        tainted[i] = oh != eh;
-        let (node, algorithm, inputs) = if reused[i] {
-            // Re-served from the partial pool: provenance was discarded
-            // at banking time, so the entry carries no input edges.
+        if oh != eh {
+            taints[i].push((gen.index, i));
+        }
+        let (node, algorithm, inputs) = if gen.reused[i].is_some() {
+            // Re-served from the partial pool: the entry carries no
+            // input edges.
             (op.output_location().0, "pool".to_string(), Vec::new())
         } else {
             match op {
@@ -688,12 +584,14 @@ fn exec_generation_proofs(
         let inputs_honest = inputs.iter().all(|(src, h)| match src {
             ProofSource::Op(s) => exp_hash[*s].is_some_and(|e| *h == e),
             ProofSource::Block(_) => true,
-            // The exec engine never banks partials across generations,
-            // so it never emits pooled inputs; if one ever appeared its
-            // honesty would belong to the origin generation, not here.
+            // Re-serves carry no inputs here; a pooled edge's honesty
+            // would belong to its origin generation.
             ProofSource::Pooled { .. } => false,
         });
-        let proof = RepairProof {
+        if oh != eh && inputs_honest {
+            dishonest.push(node);
+        }
+        proofs.push(RepairProof {
             op: i,
             node,
             coeffs: vecs[i].clone(),
@@ -703,44 +601,165 @@ fn exec_generation_proofs(
             algorithm,
             chunks,
             chunk_bytes,
-        };
-        ledger.push(g, proof);
-        *emitted += 1;
-        rec.record(Event::ProofEmitted { gen: g, op: i, node, t: now });
-        if oh != eh {
-            *rejected += 1;
-            rec.record(Event::ProofRejected { gen: g, op: i, node, t: now });
-            if inputs_honest {
-                accused.push(node);
-            }
-        }
+        });
     }
-    accused.sort_unstable();
-    accused.dedup();
-    (tainted, accused)
+    dishonest.sort_unstable();
+    dishonest.dedup();
+    Evidence {
+        proofs,
+        taints,
+        dishonest,
+    }
+}
+
+/// The executor backend of the supervision loop: every generation runs
+/// on OS threads over real bytes, on the wall clock.
+struct ExecBackend<'s> {
+    stripe: &'s [Vec<u8>],
+    t0: Instant,
+    arena: ArenaStats,
+    first_byte: Option<f64>,
+    /// Op timings of the last generation run.
+    timings: Vec<OpTiming>,
+}
+
+/// The byte-verified outputs of the generation that completed a repair.
+struct Verified {
+    scheme: &'static str,
+    recovered: Vec<(BlockId, Arc<Vec<u8>>)>,
+    mismatches: Vec<BlockId>,
+}
+
+impl RepairBackend for ExecBackend<'_> {
+    type Value = Arc<Vec<u8>>;
+    type Report = Verified;
+
+    fn start(&mut self, plan: &RepairPlan, _ctx: &RepairContext<'_>) -> Result<f64, ExecError> {
+        check_stripe(plan, self.stripe);
+        self.t0 = Instant::now();
+        Ok(0.0)
+    }
+
+    fn run(
+        &mut self,
+        gen: &Generation<'_, '_, Arc<Vec<u8>>>,
+        rec: &dyn Recorder,
+    ) -> Result<GenerationRun<Arc<Vec<u8>>>, ExecError> {
+        let plan = gen.plan;
+        // Real time cannot be rewound, so a hedge arms a watchdog at
+        // `hedge ×` the plan's analytical makespan instead of splicing a
+        // counterfactual.
+        let budget = gen
+            .hedge
+            .map(|m| m * rpr_core::simulate(plan, gen.ctx).repair_time);
+        let cancel = AtomicBool::new(false);
+        let cfg = AttemptCfg {
+            faults: Some(gen.faults),
+            policy: *gen.policy,
+            prefilled: gen.prefilled,
+            lowered: gen.lowered,
+            tag: gen.index,
+            cancel: Some(&cancel),
+        };
+        let (run, fired) = run_watched(
+            plan,
+            gen.ctx,
+            self.stripe,
+            rec,
+            self.t0,
+            &cfg,
+            budget,
+            &cancel,
+        );
+        let end = self.t0.elapsed().as_secs_f64();
+        self.arena = self.arena.plus(run.arena);
+        self.first_byte = match (self.first_byte, run.first_out) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        let is_send = |i: usize| matches!(plan.ops[i], Op::Send { .. });
+        let send_durations = (0..plan.ops.len())
+            .map(|i| {
+                let t = run.op_timings[i];
+                let done = run.values[i].is_some() && is_send(i) && t.end > t.start;
+                done.then_some(t.end - t.start)
+            })
+            .collect();
+        // A watchdog that fires after every transfer finished raced a
+        // clean completion: nothing was cancelled.
+        let cancelled = (0..plan.ops.len())
+            .find(|&i| fired && gen.lowered[i] && run.values[i].is_none() && is_send(i));
+        self.timings = run.op_timings;
+        Ok(GenerationRun {
+            values: run.values,
+            send_durations,
+            end,
+            retries: run.retries,
+            splice: None,
+            cancelled,
+        })
+    }
+
+    fn evidence(
+        &self,
+        gen: &Generation<'_, '_, Arc<Vec<u8>>>,
+        run: &GenerationRun<Arc<Vec<u8>>>,
+        key: ProofKey,
+    ) -> Evidence {
+        byte_evidence(gen, run, self.stripe, key)
+    }
+
+    fn backoff(&mut self, _now: f64, delay: f64) {
+        std::thread::sleep(Duration::from_secs_f64(delay));
+    }
+
+    fn complete(
+        &mut self,
+        gen: &Generation<'_, '_, Arc<Vec<u8>>>,
+        run: &GenerationRun<Arc<Vec<u8>>>,
+        _rec: &dyn Recorder,
+    ) -> Result<Verified, ExecError> {
+        let mut verified = Verified {
+            scheme: gen.plan.scheme,
+            recovered: Vec::with_capacity(gen.plan.outputs.len()),
+            mismatches: Vec::new(),
+        };
+        for &(target, op) in &gen.plan.outputs {
+            let got = run.values[op.0]
+                .clone()
+                .or_else(|| gen.prefilled[op.0].clone())
+                .ok_or_else(|| ExecError::Unrecoverable(format!("output {op:?} never produced")))?;
+            if got.as_slice() != self.stripe[target.0].as_slice() {
+                verified.mismatches.push(target);
+            }
+            verified.recovered.push((target, got));
+        }
+        Ok(verified)
+    }
 }
 
 /// Execute a supervised repair on real bytes — the wall-clock counterpart
-/// of [`rpr_core::supervise_injected`]. The same supervision loop runs
-/// here: storm buckets resolve against each generation's plan through the
-/// shared [`resolve_storm_bucket`] (identically seeded draws), completed
-/// partial results bank into a pool of real byte buffers keyed by
-/// `(node, symbolic coefficient vector)` and prefill replacement plans
-/// built by the shared [`plan_with_pool`], helper health feeds a
-/// [`HealthTracker`] consulted at re-selection, and the replan budget /
-/// deadline drive the same RPR → traditional → degraded-read tier ladder.
+/// of [`rpr_core::supervise_injected`], driven by the same supervision
+/// loop ([`rpr_core::supervise()`]): the same storm resolution, pool
+/// banking, health feed, proof rules, tier ladder and replanning. The
+/// pool holds real byte buffers keyed by `(node, symbolic coefficient
+/// vector)`, which prefill the ops a replacement plan reuses.
 ///
-/// Hedging differs from the simulator by necessity: real time cannot be
-/// rewound, so instead of splicing a counterfactual the supervisor arms a
-/// watchdog at `hedge ×` the plan's analytical makespan and, when it
-/// fires, *actually cancels* the straggling generation — in-flight
-/// transfers abort between shaper admissions and unwind through their
-/// `Delivery` channels — then launches the speculative alternative: a
-/// pool-reusing replan that avoids the straggling helper. `hedge_wins`
-/// counts alternatives that completed the repair. Because the
-/// counterfactual is never run to completion, `hedge_won.saved` is
-/// reported as zero on this backend (the simulator reports the true
-/// saving for the same seed).
+/// Two things differ from the simulator, both owned by this backend.
+/// When a helper crashes, the branches that do not depend on it run to
+/// completion and bank their partials (the simulator banks only what
+/// finished by the crash instant), so after a crash the banked pool and
+/// the replacement plans can differ from the simulator's for the same
+/// seed; the crashed nodes, replan count and accusations do not.
+/// Hedging cannot rewind real time: instead of splicing a counterfactual
+/// the backend arms a watchdog at `hedge ×` the plan's analytical
+/// makespan and, when it fires, *actually cancels* the straggling
+/// generation — in-flight transfers abort between shaper admissions and
+/// unwind through their `Delivery` channels — and the loop launches the
+/// speculative alternative as the next generation: a pool-reusing replan
+/// that avoids the straggling helper. `hedge_wins` counts alternatives
+/// that completed the repair; `hedge_won.saved` is reported as zero,
+/// since the cancelled original never finishes.
 ///
 /// The reconstruction is verified byte-for-byte against the lost
 /// originals regardless of how many faults fired.
@@ -755,527 +774,41 @@ pub fn execute_supervised(
     cfg: &SuperviseConfig,
     tracker: &mut HealthTracker,
 ) -> Result<SupervisedReport, ExecError> {
-    let mut rng = SplitMix64::new(storm.seed);
-    let proof_key = ProofKey::from_seed(storm.seed);
-    let mut ledger = ProofLedger::new(storm.seed, cfg.proof);
-    let mut proofs_emitted = 0usize;
-    let mut proofs_rejected = 0usize;
-    let mut accusations = 0usize;
-    let avoid_nodes =
-        |t: &HealthTracker| -> Vec<NodeId> { t.quarantined().into_iter().map(NodeId).collect() };
-
-    let mut pool: HashMap<(usize, Vec<u8>), Arc<Vec<u8>>> = HashMap::new();
-    let mut ctx_g = ctx.clone();
-    let rep0 = {
-        let avoided = ctx_g.clone().with_avoided(avoid_nodes(tracker));
-        plan_with_pool(&avoided, &pool, Tier::Full)
-            .or_else(|_| plan_with_pool(&ctx_g, &pool, Tier::Full))
-            .map_err(ExecError::Unrecoverable)?
+    let mut backend = ExecBackend {
+        stripe,
+        t0: Instant::now(),
+        arena: ArenaStats::default(),
+        first_byte: None,
+        timings: Vec::new(),
     };
-    check_stripe(&rep0.plan, stripe);
-    record_plan_built(&rep0.plan, ctx, rec);
-
-    let t0 = Instant::now();
-    let mut plan = rep0.plan;
-    let mut reused_keys = rep0.reused;
-    let mut lowered = rep0.lowered;
-    let mut generations: Vec<GenerationRecord> = Vec::new();
-    let mut fault_sites: Vec<String> = Vec::new();
-    let mut failed = ctx.failed.clone();
-    let mut dead: Vec<NodeId> = Vec::new();
-    let mut prev_senders: Option<Vec<usize>> = None;
-    let mut carry: Vec<StormFault> = Vec::new();
-    let mut slow_accum: Vec<(NodeId, f64)> = Vec::new();
-    let mut retries = 0usize;
-    let mut replans = 0usize;
-    let mut reused_total = 0usize;
-    let mut arena = ArenaStats::default();
-    let mut hedges = 0usize;
-    let mut hedge_wins = 0usize;
-    let mut hedge_pending: Option<(String, usize)> = None; // (label, hedge node)
-    let mut hedge_armed = true;
-    let mut deadline_hit = false;
-    let mut cross_bytes = 0u64;
-    let mut inner_bytes = 0u64;
-    let mut tier = Tier::Full;
-    let mut first_byte: Option<f64> = None;
-
-    let max_generations = storm.generations.len() + cfg.max_replans + 4;
-    let mut g = 0usize;
-    loop {
-        if g > max_generations {
-            return Err(ExecError::Unrecoverable(format!(
-                "supervision loop exceeded {max_generations} generations"
-            )));
-        }
-        let pool_before = pool.len();
-        let mut bucket = std::mem::take(&mut carry);
-        if let Some(b) = storm.generations.get(g) {
-            bucket.extend(b.iter().copied());
-        }
-        let gen_faults = resolve_storm_bucket(
-            &bucket,
-            &plan,
-            &lowered,
-            prev_senders.as_deref(),
-            &ctx_g,
-            &mut rng,
-        );
-        carry = gen_faults.deferred.clone();
-        fault_sites.extend(gen_faults.descriptions.iter().cloned());
-        for (i, fs) in gen_faults.resolved.op_faults.iter().enumerate() {
-            if !fs.is_empty() && fs.len() >= cfg.policy.max_attempts {
-                return Err(ExecError::RetriesExhausted(format!(
-                    "op {i}: {} injected failures exhaust the retry budget \
-                     (max_attempts = {})",
-                    fs.len(),
-                    cfg.policy.max_attempts
-                )));
-            }
-        }
-        // Slow links persist across generations — real degraded hardware
-        // does not heal when the supervisor replans around it.
-        slow_accum.extend(gen_faults.resolved.slow.iter().copied());
-        let resolved = ResolvedFaults {
-            op_faults: gen_faults.resolved.op_faults.clone(),
-            crash: gen_faults.resolved.crash,
-            slow: slow_accum.clone(),
-            lies: gen_faults.resolved.lies.clone(),
-        };
-
-        let prefilled: Vec<Option<Arc<Vec<u8>>>> = reused_keys
-            .iter()
-            .map(|k| k.as_ref().and_then(|key| pool.get(key).cloned()))
-            .collect();
-        for (i, key) in reused_keys.iter().enumerate() {
-            if key.is_some() && prefilled[i].is_none() {
-                return Err(ExecError::Unrecoverable(format!(
-                    "op {i}: reused partial evicted from the pool before execution"
-                )));
-            }
-        }
-        let vecs = plan.symbolic_vectors();
-
-        // Hedge watchdog: crash-free generations only, one hedge per
-        // repair (the alternative must be allowed to finish).
-        let hedge_budget = match (cfg.hedge, gen_faults.resolved.crash) {
-            (Some(m), None) if hedge_armed => {
-                Some(m * rpr_core::simulate(&plan, &ctx_g).repair_time)
-            }
-            _ => None,
-        };
-        let cancel = AtomicBool::new(false);
-        let a_cfg = AttemptCfg {
-            faults: Some(&resolved),
-            policy: cfg.policy,
-            prefilled: &prefilled,
-            lowered: &lowered,
-            tag: g,
-            cancel: Some(&cancel),
-        };
-        let (run, hedge_fired) =
-            run_watched(&plan, &ctx_g, stripe, rec, t0, &a_cfg, hedge_budget, &cancel);
-        retries += run.retries;
-        arena = arena.plus(run.arena);
-        first_byte = match (first_byte, run.first_out) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let completed: Vec<bool> = run.values.iter().map(|v| v.is_some()).collect();
-        let now = t0.elapsed().as_secs_f64();
-
-        // Proof plane: hash every available value (executed or re-served
-        // from the pool) against the ground-truth expectation and record
-        // the evidence. Accusations only steer control flow in Mandatory.
-        let avail: Vec<Option<Arc<Vec<u8>>>> = run
-            .values
-            .iter()
-            .zip(&prefilled)
-            .map(|(v, p)| v.clone().or_else(|| p.clone()))
-            .collect();
-        let reused_flags: Vec<bool> = reused_keys.iter().map(|k| k.is_some()).collect();
-        let (tainted, accused) = if cfg.proof.active() {
-            exec_generation_proofs(
-                proof_key,
-                &mut ledger,
-                &mut proofs_emitted,
-                &mut proofs_rejected,
-                &plan,
-                ctx,
-                stripe,
-                &vecs,
-                &avail,
-                &reused_flags,
-                g,
-                now,
-                rec,
-            )
-        } else {
-            (vec![false; plan.ops.len()], Vec::new())
-        };
-        let accused = if cfg.proof == ProofMode::Mandatory {
-            accused
-        } else {
-            Vec::new()
-        };
-
-        // Bank every completed partial whose host is still alive, and
-        // count the traffic those completions actually moved. Under
-        // Mandatory proofs, tainted partials are evidence — never cached.
-        let bank = |pool: &mut HashMap<(usize, Vec<u8>), Arc<Vec<u8>>>,
-                    dead: &[NodeId],
-                    skip: Option<NodeId>| {
-            for (i, v) in run.values.iter().enumerate() {
-                if cfg.proof == ProofMode::Mandatory && tainted[i] {
-                    continue;
-                }
-                if let Some(v) = v {
-                    let loc = plan.ops[i].output_location();
-                    if Some(loc) != skip && !dead.contains(&loc) {
-                        pool.insert((loc.0, vecs[i].clone()), v.clone());
-                    }
-                }
-            }
-        };
-        for (i, op) in plan.ops.iter().enumerate() {
-            if completed[i] {
-                add_send_bytes(ctx, op, plan.block_bytes, &mut cross_bytes, &mut inner_bytes);
-            }
-        }
-        for (n, score) in feed_supervised_health(tracker, &plan, ctx, &run.op_timings, &completed)
-        {
-            rec.record(Event::HelperQuarantined { node: n, score, t: now });
-        }
-        generations.push(GenerationRecord {
-            scheme: plan.scheme.to_string(),
-            tier,
-            executed_ops: lowered.iter().filter(|l| **l).count(),
-            reused_ops: reused_keys.iter().filter(|r| r.is_some()).count(),
-            completed_ops: completed.iter().filter(|c| **c).count(),
-            pool_before,
-            crashed: gen_faults.resolved.crash.map(|c| c.node.0),
-            faults: bucket.iter().map(|f| f.name().to_string()).collect(),
-        });
-
-        if let Some(crash) = gen_faults.resolved.crash {
-            // ---- crash generation: bank partials, replan, go again. ----
-            // run_attempt already emitted the node_down transfer failure
-            // and helper_crashed events at the moment the node died.
-            tracker.record_failure(crash.node.0);
-            bank(&mut pool, &dead, Some(crash.node));
-            dead.push(crash.node);
-            pool.retain(|(n, _), _| *n != crash.node.0);
-            for &n in &accused {
-                rec.record(Event::HelperAccused { node: n, gen: g, t: now });
-                tracker.accuse(n);
-                accusations += 1;
-            }
-            if !accused.is_empty() {
-                pool.retain(|(pn, _), _| !accused.contains(pn));
-            }
-
-            let block = ctx
-                .placement
-                .block_on(crash.node)
-                .expect("crash candidates host blocks");
-            failed.push(block);
-            if failed.len() > ctx.params().k {
-                return Err(ExecError::Unrecoverable(format!(
-                    "{} failures exceed k = {} — stripe unrecoverable",
-                    failed.len(),
-                    ctx.params().k
-                )));
-            }
-            replans += 1;
-
-            if let Some(d) = cfg.deadline {
-                if now > d && !deadline_hit {
-                    deadline_hit = true;
-                    rec.record(Event::DeadlineExceeded {
-                        scope: "repair".to_string(),
-                        budget: d,
-                        elapsed: now,
-                        t: now,
-                    });
-                }
-            }
-            let excess = replans.saturating_sub(cfg.max_replans);
-            let mut next_tier = match excess {
-                0 => Tier::Full,
-                1 => Tier::Traditional,
-                _ => Tier::DegradedRead,
-            };
-            if deadline_hit && next_tier < Tier::Traditional {
-                next_tier = Tier::Traditional;
-            }
-            if next_tier > tier {
-                rec.record(Event::DegradedFallback {
-                    tier: next_tier.name().to_string(),
-                    reason: if deadline_hit && excess == 0 {
-                        "deadline exceeded".to_string()
-                    } else {
-                        format!("replan budget ({}) exhausted", cfg.max_replans)
-                    },
-                    t: now,
-                });
-                tier = next_tier;
-            }
-
-            let recovery = plan.recovery;
-            ctx_g = ctx.clone();
-            ctx_g.failed = failed.clone();
-            if tier == Tier::DegradedRead {
-                if let Some(client) = degraded_client(&ctx_g, &dead, recovery) {
-                    ctx_g = ctx_g.with_recovery_node(client);
-                } else {
-                    ctx_g.recovery_node_override = Some(recovery);
-                    ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-                }
-            } else {
-                ctx_g.recovery_node_override = Some(recovery);
-                ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-            }
-            let mut avoid = avoid_nodes(tracker);
-            avoid.retain(|n| !dead.contains(n));
-            let rep = {
-                let avoided = ctx_g.clone().with_avoided(avoid);
-                plan_with_pool(&avoided, &pool, tier)
-                    .or_else(|_| plan_with_pool(&ctx_g, &pool, tier))
-                    .map_err(ExecError::Unrecoverable)?
-            };
-            reused_total += rep.reused_count();
-            rec.record(Event::Replanned {
-                scheme: rep.plan.scheme.to_string(),
-                failed: failed.len(),
-                reused_ops: rep.reused_count(),
-                t: now,
-            });
-            prev_senders = Some(cross_sender_nodes(&plan, ctx));
-            plan = rep.plan;
-            reused_keys = rep.reused;
-            lowered = rep.lowered;
-            std::thread::sleep(Duration::from_secs_f64(cfg.policy.delay(replans - 1)));
-            tracker.tick_generation();
-            g += 1;
-            continue;
-        }
-
-        if cfg.proof == ProofMode::Mandatory && !accused.is_empty() {
-            // ---- proof failure: the generation completed at the
-            // transport level, but the evidence convicts a helper of
-            // sending fabricated bytes. Fail the generation, quarantine
-            // the liar on proof evidence (not timeout), purge its pool
-            // entries, and replan around it. ----
-            bank(&mut pool, &dead, None);
-            for &n in &accused {
-                rec.record(Event::HelperAccused { node: n, gen: g, t: now });
-                tracker.accuse(n);
-                accusations += 1;
-            }
-            pool.retain(|(pn, _), _| !accused.contains(pn));
-            replans += 1;
-
-            if let Some(d) = cfg.deadline {
-                if now > d && !deadline_hit {
-                    deadline_hit = true;
-                    rec.record(Event::DeadlineExceeded {
-                        scope: "repair".to_string(),
-                        budget: d,
-                        elapsed: now,
-                        t: now,
-                    });
-                }
-            }
-            let excess = replans.saturating_sub(cfg.max_replans);
-            let mut next_tier = match excess {
-                0 => Tier::Full,
-                1 => Tier::Traditional,
-                _ => Tier::DegradedRead,
-            };
-            if deadline_hit && next_tier < Tier::Traditional {
-                next_tier = Tier::Traditional;
-            }
-            if next_tier > tier {
-                rec.record(Event::DegradedFallback {
-                    tier: next_tier.name().to_string(),
-                    reason: if deadline_hit && excess == 0 {
-                        "deadline exceeded".to_string()
-                    } else {
-                        format!("replan budget ({}) exhausted", cfg.max_replans)
-                    },
-                    t: now,
-                });
-                tier = next_tier;
-            }
-
-            let recovery = plan.recovery;
-            ctx_g = ctx.clone();
-            ctx_g.failed = failed.clone();
-            if tier == Tier::DegradedRead {
-                if let Some(client) = degraded_client(&ctx_g, &dead, recovery) {
-                    ctx_g = ctx_g.with_recovery_node(client);
-                } else {
-                    ctx_g.recovery_node_override = Some(recovery);
-                    ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-                }
-            } else {
-                ctx_g.recovery_node_override = Some(recovery);
-                ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-            }
-            let mut avoid = avoid_nodes(tracker);
-            avoid.retain(|n| !dead.contains(n));
-            let rep = {
-                let avoided = ctx_g.clone().with_avoided(avoid);
-                plan_with_pool(&avoided, &pool, tier)
-                    .or_else(|_| plan_with_pool(&ctx_g, &pool, tier))
-                    .map_err(ExecError::Unrecoverable)?
-            };
-            reused_total += rep.reused_count();
-            rec.record(Event::Replanned {
-                scheme: rep.plan.scheme.to_string(),
-                failed: failed.len(),
-                reused_ops: rep.reused_count(),
-                t: now,
-            });
-            prev_senders = Some(cross_sender_nodes(&plan, ctx));
-            plan = rep.plan;
-            reused_keys = rep.reused;
-            lowered = rep.lowered;
-            std::thread::sleep(Duration::from_secs_f64(cfg.policy.delay(replans - 1)));
-            tracker.tick_generation();
-            g += 1;
-            continue;
-        }
-
-        let unfinished_send = (0..plan.ops.len()).find(|&i| {
-            lowered[i] && !completed[i] && matches!(&plan.ops[i], Op::Send { .. })
-        });
-        if hedge_fired {
-            if let Some(slow_i) = unfinished_send {
-                // ---- straggler cancelled: launch the speculative
-                // alternative — a pool-reusing replan avoiding the
-                // abandoned transfer's source. ----
-                let Op::Send { from, .. } = &plan.ops[slow_i] else {
-                    unreachable!("unfinished_send matched a send");
-                };
-                let slow_node = *from;
-                hedges += 1;
-                hedge_armed = false;
-                tracker.record_failure(slow_node.0);
-                bank(&mut pool, &dead, None);
-
-                let mut avoid = avoid_nodes(tracker);
-                if !avoid.contains(&slow_node) {
-                    avoid.push(slow_node);
-                }
-                avoid.retain(|n| !dead.contains(n));
-                let label = format!("p{g}op{slow_i}:send");
-                let rep = plan_with_pool(&ctx_g.clone().with_avoided(avoid), &pool, tier)
-                    .or_else(|_| plan_with_pool(&ctx_g, &pool, tier))
-                    .map_err(ExecError::Unrecoverable)?;
-                let hedge_node = rep
-                    .plan
-                    .ops
-                    .iter()
-                    .find_map(|op| match op {
-                        Op::Send { from, to, .. }
-                            if !ctx.topo.same_rack(*from, *to) && *from != slow_node =>
-                        {
-                            Some(from.0)
-                        }
-                        _ => None,
-                    })
-                    .unwrap_or(rep.plan.recovery.0);
-                rec.record(Event::HedgeLaunched {
-                    label: label.clone(),
-                    slow_node: slow_node.0,
-                    hedge_node,
-                    multiple: cfg.hedge.expect("hedge fired implies a multiple"),
-                    t: now,
-                });
-                hedge_pending = Some((label, hedge_node));
-                reused_total += rep.reused_count();
-                prev_senders = Some(cross_sender_nodes(&plan, ctx));
-                plan = rep.plan;
-                reused_keys = rep.reused;
-                lowered = rep.lowered;
-                tracker.tick_generation();
-                g += 1;
-                continue;
-            }
-            // The watchdog raced a clean finish: everything completed
-            // before any transfer aborted — fall through as a completion.
-        }
-
-        // ---- completion: verify, close out, report. ----
-        let mut mismatches = Vec::new();
-        let mut recovered = Vec::with_capacity(plan.outputs.len());
-        for &(target, op) in &plan.outputs {
-            let got = run.values[op.0]
-                .clone()
-                .or_else(|| prefilled[op.0].clone())
-                .ok_or_else(|| {
-                    ExecError::Unrecoverable(format!("output {op:?} never produced"))
-                })?;
-            if got.as_slice() != stripe[target.0].as_slice() {
-                mismatches.push(target);
-            }
-            recovered.push((target, got));
-        }
-        if let Some((label, winner)) = hedge_pending.take() {
-            hedge_wins += 1;
-            rec.record(Event::HedgeWon {
-                label,
-                winner_node: winner,
-                saved: 0.0,
-                t: now,
-            });
-        }
-        if let Some(d) = cfg.deadline {
-            if now > d && !deadline_hit {
-                deadline_hit = true;
-                rec.record(Event::DeadlineExceeded {
-                    scope: "repair".to_string(),
-                    budget: d,
-                    elapsed: now,
-                    t: now,
-                });
-            }
-        }
-        rec.record(Event::RepairDone {
-            t: now,
-            cross_bytes,
-            inner_bytes,
-        });
-        tracker.tick_generation();
-        return Ok(SupervisedReport {
-            report: ExecReport {
-                wall_seconds: now,
-                arena,
-                op_timings: run.op_timings,
-                cross_bytes,
-                inner_bytes,
-                verified: mismatches.is_empty(),
-                mismatches,
-                recovered,
-                first_byte_seconds: first_byte,
-            },
-            generations,
-            retries,
-            replans,
-            reused_ops: reused_total,
-            hedges,
-            hedge_wins,
-            deadline_hit,
-            final_scheme: plan.scheme,
-            final_tier: tier,
-            fault_sites,
-            proofs_emitted,
-            proofs_rejected,
-            accusations,
-            ledger,
-        });
-    }
+    let (out, verified) = supervise(&mut backend, ctx, storm, cfg, tracker, rec)?;
+    Ok(SupervisedReport {
+        report: ExecReport {
+            wall_seconds: out.repair_time,
+            op_timings: backend.timings,
+            cross_bytes: out.cross_bytes,
+            inner_bytes: out.inner_bytes,
+            verified: verified.mismatches.is_empty(),
+            mismatches: verified.mismatches,
+            arena: backend.arena,
+            recovered: verified.recovered,
+            first_byte_seconds: backend.first_byte,
+        },
+        generations: out.generations,
+        retries: out.retries,
+        replans: out.replans,
+        reused_ops: out.reused_ops,
+        hedges: out.hedges,
+        hedge_wins: out.hedge_wins,
+        deadline_hit: out.deadline_hit,
+        final_scheme: verified.scheme,
+        final_tier: out.final_tier,
+        fault_sites: out.fault_sites,
+        proofs_emitted: out.proofs_emitted,
+        proofs_rejected: out.proofs_rejected,
+        accusations: out.accusations,
+        ledger: out.ledger,
+    })
 }
 
 fn check_stripe(plan: &RepairPlan, stripe: &[Vec<u8>]) {
@@ -1293,20 +826,6 @@ fn check_stripe(plan: &RepairPlan, stripe: &[Vec<u8>]) {
         block_len as u64, plan.block_bytes,
         "execute: stripe block size must match the plan"
     );
-}
-
-fn record_plan_built(plan: &RepairPlan, ctx: &RepairContext<'_>, rec: &dyn Recorder) {
-    let stats = plan.stats(ctx.topo);
-    let (_, wave_count) = plan.cross_waves(ctx.topo);
-    rec.record(Event::PlanBuilt {
-        scheme: plan.scheme.to_string(),
-        parts: plan.outputs.len(),
-        ops: plan.ops.len(),
-        cross_transfers: stats.cross_transfers,
-        inner_transfers: stats.inner_transfers,
-        cross_timesteps: wave_count,
-        block_bytes: plan.block_bytes,
-    });
 }
 
 fn add_send_bytes(
@@ -2438,7 +1957,8 @@ mod tests {
     use super::*;
     use rpr_codec::{CodeParams, StripeCodec};
     use rpr_core::{crash_candidates, CostModel, RepairPlanner, RprPlanner, TraditionalPlanner};
-    use rpr_faults::FaultKind;
+    use rpr_faults::{FaultKind, StormFault};
+    use rpr_proof::ProofMode;
     use rpr_topology::{cluster_for, BandwidthProfile, Placement};
 
     fn stripe_for(codec: &StripeCodec, len: usize, seed: u64) -> Vec<Vec<u8>> {

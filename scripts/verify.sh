@@ -41,7 +41,13 @@
 #      byte-identical to an uninterrupted same-seed run's, with zero
 #      stripes lost at a churn rate the drain outpaces (docs/FLEET.md,
 #      "Drains under churn" / "The journal")
-#  13. bench gate: a quick bench snapshot (scripts/bench_snapshot.sh
+#  13. exec soak: the supervisor on the real-byte executor (`rpr chaos
+#      --backend exec --block-mib 1`) must complete the 3-fault storm
+#      (seeds 17, 4242) with two replans and the Mandatory lie storm
+#      (seed 21) with the liar accused, byte-verify every
+#      reconstruction, and write byte-identical proof ledgers across two
+#      same-seed runs (docs/ROBUSTNESS.md, "The repair supervisor")
+#  14. bench gate: a quick bench snapshot (scripts/bench_snapshot.sh
 #      --quick) must not regress the GF kernel throughput by more than
 #      15% against the newest committed BENCH_*.json, and the dispatched
 #      SIMD multiply must stay >= 4x the scalar tier (scripts/
@@ -315,7 +321,40 @@ if ! grep -q '"lost":0' "$CHAOS_DIR/churn_clean.summary"; then
 fi
 echo "==> churn soak: killed -9 mid-drain, resumed bit-identically, 0 lost"
 
-# Step 13: performance must not silently rot. Take a quick snapshot and
+# Step 13: the same supervision loop must drive the real-byte executor.
+# Per storm, two same-seed exec runs must both byte-verify the
+# reconstruction and reach the expected replans / accusation, and their
+# proof ledgers (real-byte hashes; wall-clock times never enter them)
+# must be byte-identical.
+for storm in storm_s17 storm_s4242 lie_s21; do
+    case "$storm" in
+        storm_s17) ARGS="--seed 17"; EXPECT='"replans":2' ;;
+        storm_s4242) ARGS="--seed 4242"; EXPECT='"replans":2' ;;
+        lie_s21) ARGS="--storm lie --proof mandatory --seed 21"; EXPECT='"accusations":1' ;;
+    esac
+    for rep in a b; do
+        echo "==> $RPR chaos --code 6,3 --fail d1 $ARGS --backend exec --block-mib 1 (run $rep)"
+        "$RPR" chaos --code 6,3 --fail d1 $ARGS --backend exec --block-mib 1 --json \
+            --ledger-out "$CHAOS_DIR/exec_${storm}_${rep}.ledger.jsonl" \
+            > "$CHAOS_DIR/exec_${storm}_${rep}.json" 2>/dev/null
+        if ! grep -q '"verified":true' "$CHAOS_DIR/exec_${storm}_${rep}.json"; then
+            echo "exec soak FAILED: $storm reconstruction did not verify" >&2
+            exit 1
+        fi
+        if ! grep -q "$EXPECT" "$CHAOS_DIR/exec_${storm}_${rep}.json"; then
+            echo "exec soak FAILED: $storm summary lacks $EXPECT" >&2
+            exit 1
+        fi
+    done
+    if ! cmp -s "$CHAOS_DIR/exec_${storm}_a.ledger.jsonl" \
+                "$CHAOS_DIR/exec_${storm}_b.ledger.jsonl"; then
+        echo "exec soak FAILED: $storm proof ledgers differ" >&2
+        exit 1
+    fi
+    echo "==> exec storm $storm: verified, $EXPECT, ledger byte-identical"
+done
+
+# Step 14: performance must not silently rot. Take a quick snapshot and
 # gate it against the newest committed baseline; a transient miss (quick
 # windows on a shared box are noisy) gets two retries before it counts.
 if [ "${RPR_BENCH_GATE:-on}" = "off" ]; then

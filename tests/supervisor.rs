@@ -1,4 +1,4 @@
-//! Repair-supervisor acceptance suite (sim side).
+//! Repair-supervisor acceptance suite.
 //!
 //! The headline guarantees (see `docs/ROBUSTNESS.md`):
 //! * a seeded 3-fault storm — helper crash, crash of its replacement,
@@ -10,16 +10,21 @@
 //!   makespan of the same seed (regression pin);
 //! * the replan invariants hold across seeded chaos storms: reused
 //!   partials never exceed the pool banked by prior generations, and
-//!   replacement plans still satisfy the decode equation.
+//!   replacement plans still satisfy the decode equation;
+//! * `Slow` derates outlive the generation that injected them;
+//! * the simulator and the executor reach the same decisions on the
+//!   same seeded storms.
 
 use rpr::codec::{BlockId, CodeParams, StripeCodec};
 use rpr::core::{
     plan_with_pool, supervise_injected, CostModel, RepairContext, RepairPlanner, RprPlanner,
     SuperviseConfig, Tier,
 };
+use rpr::exec::execute_supervised;
 use rpr::faults::{ChaosProcess, CrashSite, FaultStorm, HealthTracker, RetryPolicy, StormFault};
-use rpr::obs::{export, TraceRecorder};
+use rpr::obs::{export, Event, TraceRecorder};
 use rpr::topology::{cluster_for, BandwidthProfile, Placement};
+use rpr_proof::ProofMode;
 use std::collections::HashMap;
 
 struct World {
@@ -180,57 +185,6 @@ fn hedged_repair_beats_unhedged_with_seeded_straggler() {
 }
 
 #[test]
-fn adaptive_hedge_floors_at_fixed_and_widens_on_slow_fleets() {
-    let world = World::new(6, 3, 8 << 20);
-    // A mild straggler: ~3.3x its wave's median — past a fixed 2x
-    // threshold, but within what a broadly slow fleet would make normal.
-    let storm = FaultStorm::new(3).with_generation(vec![StormFault::Slow { factor: 0.3 }]);
-    let fixed_cfg = SuperviseConfig {
-        policy: fast_policy(),
-        hedge: Some(2.0),
-        ..SuperviseConfig::default()
-    };
-    let adaptive_cfg = SuperviseConfig {
-        adaptive_hedge: true,
-        ..fixed_cfg.clone()
-    };
-
-    // Healthy fleet (no tracked history): the adaptive threshold floors
-    // at the fixed multiple, so the run is bit-identical to fixed mode.
-    let (fixed, fixed_trace) = run_storm(&world, &storm, &fixed_cfg);
-    let (adaptive, adaptive_trace) = run_storm(&world, &storm, &adaptive_cfg);
-    assert!(fixed.hedges >= 1, "the straggler must trip the fixed threshold");
-    assert_eq!(fixed.hedges, adaptive.hedges);
-    assert_eq!(
-        fixed.repair_time.to_bits(),
-        adaptive.repair_time.to_bits(),
-        "healthy-fleet adaptive mode must be bit-identical to fixed"
-    );
-    assert_eq!(fixed_trace, adaptive_trace);
-
-    // Broadly slow fleet: every tracked helper runs ~2x late, so the
-    // observed p90 slowdown lifts the threshold to ~4x and the merely
-    // 3.3x straggler is no longer hedged against.
-    let slow_fleet = || {
-        let mut tracker = HealthTracker::with_defaults();
-        for node in 0..20 {
-            for _ in 0..6 {
-                tracker.record_success(node, 2.0, 1.0);
-            }
-        }
-        tracker
-    };
-    let ctx = world.ctx(vec![BlockId(1)]);
-    let rec = TraceRecorder::with_capacity(16384);
-    let outcome = supervise_injected(&ctx, &storm, &adaptive_cfg, &mut slow_fleet(), &rec)
-        .expect("completes");
-    assert_eq!(
-        outcome.hedges, 0,
-        "a typical helper on a slow fleet must not be hedged against"
-    );
-}
-
-#[test]
 fn replan_invariants_hold_across_seeded_chaos_storms() {
     let world = World::new(6, 3, 1 << 20);
     let cfg = SuperviseConfig {
@@ -318,4 +272,203 @@ fn pool_reuse_preserves_the_decode_equation() {
     }
     assert!(reused > 0, "a fully-banked pool must be reused");
     assert!(reused <= pool.len());
+}
+
+/// The node a resolved `slow node {n} (x…)` site derated.
+fn slow_node(sites: &[String]) -> Option<usize> {
+    sites
+        .iter()
+        .find_map(|s| s.strip_prefix("slow node "))
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+}
+
+#[test]
+fn slow_derates_persist_into_the_generation_after_a_crash() {
+    // A `Slow` fault models degraded hardware, which does not heal when
+    // the supervisor replans around a crash: in the generation after the
+    // crash, the derated node's transfers must still run ~10x slower
+    // than their same-class peers.
+    let world = World::new(6, 3, 1 << 20);
+    let cfg = SuperviseConfig {
+        policy: fast_policy(),
+        ..SuperviseConfig::default()
+    };
+    let mut checked = 0usize;
+    for seed in 0..16u64 {
+        let storm = FaultStorm::new(seed).with_generation(vec![
+            StormFault::Slow { factor: 0.1 },
+            StormFault::Crash(CrashSite::SeedPick),
+        ]);
+        let ctx = world.ctx(vec![BlockId(1)]);
+        let rec = TraceRecorder::with_capacity(16384);
+        let mut tracker = HealthTracker::with_defaults();
+        let out = supervise_injected(&ctx, &storm, &cfg, &mut tracker, &rec)
+            .expect("one crash is always survivable at (6,3)");
+        let slow = slow_node(&out.fault_sites).expect("a slow site resolved");
+        if out.generations[0].crashed == Some(slow) {
+            continue;
+        }
+        // (source, cross, duration) of every generation-1 transfer.
+        let gen1: Vec<(usize, bool, f64)> = rec
+            .take_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::TransferDone { xfer, start, end } if xfer.label.starts_with("p1op") => {
+                    Some((xfer.src_node, xfer.cross, end - start))
+                }
+                _ => None,
+            })
+            .collect();
+        for &(src, cross, dur) in &gen1 {
+            if src != slow {
+                continue;
+            }
+            let mut peers: Vec<f64> = gen1
+                .iter()
+                .filter(|&&(s, c, _)| s != slow && c == cross)
+                .map(|&(.., d)| d)
+                .collect();
+            if peers.is_empty() {
+                continue;
+            }
+            peers.sort_by(f64::total_cmp);
+            let median = peers[peers.len() / 2];
+            assert!(
+                dur > 4.0 * median,
+                "seed {seed}: node {slow} sent in {dur:.3} s after the crash, \
+                 peers' median {median:.3} s — the derate did not persist"
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 3,
+        "too few post-crash sends from a slow node ({checked})"
+    );
+}
+
+fn stripe_for(codec: &StripeCodec, len: usize, seed: u64) -> Vec<Vec<u8>> {
+    let mut s = seed | 1;
+    let data: Vec<Vec<u8>> = (0..codec.params().n)
+        .map(|_| {
+            (0..len)
+                .map(|_| {
+                    s = s
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (s >> 33) as u8
+                })
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
+    codec.encode_stripe(&refs)
+}
+
+#[test]
+fn backends_agree_on_seeded_storms() {
+    // One loop drives both backends, so the same seeded storm must reach
+    // the same decisions on either. The one fact each backend owns is
+    // which ops count as completed when a crash fires (the simulator
+    // stops at the crash instant, the executor lets surviving branches
+    // finish), so after a crash only the crash sequence, the replan
+    // count and the accusations are compared; crash-free storms must
+    // agree on every clock-free field.
+    let storms = |seed: u64| -> Vec<FaultStorm> {
+        let mut chaos = ChaosProcess::new(seed).storm();
+        for bucket in &mut chaos.generations {
+            bucket.retain(|f| !matches!(f, StormFault::Slow { .. }));
+        }
+        let mut out = vec![chaos];
+        for fault in [
+            StormFault::Lie,
+            StormFault::Timeout,
+            StormFault::Corrupt,
+            StormFault::RackOutage,
+        ] {
+            out.push(FaultStorm::new(seed).with_generation(vec![fault]));
+        }
+        out
+    };
+    let mut compared = (0usize, 0usize);
+    for (n, k) in [(6usize, 3usize), (12, 4)] {
+        let world = World::new(n, k, 64 * 1024);
+        let ctx = world.ctx(vec![BlockId(1)]);
+        let stripe = stripe_for(&world.codec, world.block as usize, 5);
+        for seed in 0..6u64 {
+            for storm in storms(seed) {
+                for proof in [ProofMode::Off, ProofMode::Mandatory] {
+                    let cfg = SuperviseConfig {
+                        policy: fast_policy(),
+                        proof,
+                        ..SuperviseConfig::default()
+                    };
+                    let sim = supervise_injected(
+                        &ctx,
+                        &storm,
+                        &cfg,
+                        &mut HealthTracker::with_defaults(),
+                        rpr::obs::noop(),
+                    );
+                    let exec = execute_supervised(
+                        &ctx,
+                        &stripe,
+                        rpr::obs::noop(),
+                        &storm,
+                        &cfg,
+                        &mut HealthTracker::with_defaults(),
+                    );
+                    let case = format!("({n},{k}) seed {seed} {proof:?} storm {storm:?}");
+                    let (sim, exec) = match (sim, exec) {
+                        (Ok(s), Ok(e)) => (s, e),
+                        (Err(_), Err(_)) => continue,
+                        (s, e) => panic!("{case}: sim ok={} exec ok={}", s.is_ok(), e.is_ok()),
+                    };
+                    // An unenforced lie reaches the output: only a
+                    // Mandatory proof plane routes around it.
+                    let lied = storm
+                        .generations
+                        .iter()
+                        .flatten()
+                        .any(|f| *f == StormFault::Lie);
+                    assert_eq!(
+                        exec.report.verified,
+                        !lied || proof == ProofMode::Mandatory,
+                        "{case}: exec verification"
+                    );
+                    let crashes = |g: &[rpr::core::GenerationRecord]| -> Vec<Option<usize>> {
+                        g.iter().map(|r| r.crashed).collect()
+                    };
+                    assert_eq!(
+                        crashes(&sim.generations),
+                        crashes(&exec.generations),
+                        "{case}"
+                    );
+                    assert_eq!(sim.replans, exec.replans, "{case}");
+                    assert_eq!(sim.accusations, exec.accusations, "{case}");
+                    if sim.generations.iter().any(|g| g.crashed.is_some()) {
+                        compared.1 += 1;
+                        continue;
+                    }
+                    assert_eq!(sim.fault_sites, exec.fault_sites, "{case}");
+                    assert_eq!(
+                        format!("{:?}", sim.generations),
+                        format!("{:?}", exec.generations),
+                        "{case}"
+                    );
+                    assert_eq!(sim.retries, exec.retries, "{case}");
+                    assert_eq!(sim.proofs_emitted, exec.proofs_emitted, "{case}");
+                    assert_eq!(sim.proofs_rejected, exec.proofs_rejected, "{case}");
+                    assert_eq!(sim.cross_bytes, exec.report.cross_bytes, "{case}");
+                    assert_eq!(sim.inner_bytes, exec.report.inner_bytes, "{case}");
+                    compared.0 += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        compared.0 >= 60 && compared.1 >= 8,
+        "too few storms compared (crash-free, crash) = {compared:?}"
+    );
 }
