@@ -472,3 +472,59 @@ fn backends_agree_on_seeded_storms() {
         "too few storms compared (crash-free, crash) = {compared:?}"
     );
 }
+
+/// The generation that completes a supervised repair closes it with its
+/// wave boundaries on both backends, and on the simulator with its
+/// stream summaries labelled by generation: all of them after the last
+/// replan and before `repair_done`.
+#[test]
+fn completing_generation_emits_wave_boundaries_on_both_backends() {
+    let world = World::new(6, 3, 256 * 1024);
+    let ctx = world.ctx(vec![BlockId(1)]).with_chunk_size(64 * 1024);
+    let storm = three_fault_storm(77);
+    let cfg = SuperviseConfig {
+        policy: fast_policy(),
+        ..SuperviseConfig::default()
+    };
+    let stripe = stripe_for(&world.codec, world.block as usize, 77);
+    for backend in ["sim", "exec"] {
+        let rec = TraceRecorder::with_capacity(16384);
+        let mut tracker = HealthTracker::with_defaults();
+        let generations = if backend == "sim" {
+            supervise_injected(&ctx, &storm, &cfg, &mut tracker, &rec)
+                .expect("sim storm completes")
+                .generations
+                .len()
+        } else {
+            execute_supervised(&ctx, &stripe, &rec, &storm, &cfg, &mut tracker)
+                .expect("exec storm completes")
+                .generations
+                .len()
+        };
+        assert_eq!(generations, 3, "{backend}");
+        let events = rec.take_events();
+        let names: Vec<&str> = events.iter().map(|e| e.name()).collect();
+        let last_replan = names.iter().rposition(|n| *n == "replanned").unwrap();
+        let done = names.iter().position(|n| *n == "repair_done").unwrap();
+        assert_eq!(done, names.len() - 1, "{backend}");
+        let starts = names.iter().filter(|n| **n == "timestep_started").count();
+        let finishes = names.iter().filter(|n| **n == "timestep_finished").count();
+        assert!(starts >= 1, "{backend}: no wave boundaries in {names:?}");
+        assert_eq!(starts, finishes, "{backend}");
+        for (i, e) in events.iter().enumerate() {
+            match e {
+                Event::TimestepStarted { .. } | Event::TimestepFinished { .. } => {
+                    assert!(i > last_replan && i < done, "{backend}: boundary at {i}");
+                }
+                Event::StreamSummary { xfer, .. } if backend == "sim" => {
+                    assert!(i > last_replan && i < done, "{backend}: summary at {i}");
+                    assert!(xfer.label.starts_with("p2op"), "{}", xfer.label);
+                }
+                _ => {}
+            }
+        }
+        if backend == "sim" {
+            assert!(names.contains(&"stream_summary"), "no stream summaries");
+        }
+    }
+}

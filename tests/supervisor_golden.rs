@@ -2,11 +2,16 @@
 //!
 //! Each case runs a fixed-seed storm and reduces what the supervisor
 //! produced to `checksum64` digests: on the simulator the JSON-lines
-//! trace, the `SuperviseOutcome` summary fields and the proof ledger; on
-//! the executor (hedging off, wall-clock fields excluded) the ledger,
-//! fault sites, generation records, retries and traffic. The digests were
-//! captured before the two supervision loops were merged into one, so a
-//! refactor of the loop must reproduce them exactly.
+//! trace, the same trace without its `timestep_started`,
+//! `timestep_finished` and `stream_summary` lines, the
+//! `SuperviseOutcome` summary fields and the proof ledger; on the
+//! executor (hedging off, wall-clock fields excluded) the ledger, fault
+//! sites, generation records, retries and traffic. Apart from the full
+//! trace digest, every digest was captured before the two supervision
+//! loops were merged into one, so a refactor of the loop must reproduce
+//! them exactly. The full trace digest was taken when the completing
+//! generation began to emit its wave boundaries and stream summaries;
+//! the filtered digest is the trace digest from before that change.
 //!
 //! No case runs a `Slow` fault followed by a later generation: that is
 //! the one storm shape whose sim trace changed on purpose (derates now
@@ -19,7 +24,7 @@ use rpr::codec::{BlockId, CodeParams, StripeCodec};
 use rpr::core::{supervise_injected, CostModel, RepairContext, SuperviseConfig, SuperviseOutcome};
 use rpr::exec::{execute_supervised, SupervisedReport};
 use rpr::faults::{checksum64, CrashSite, FaultStorm, HealthTracker, StormFault};
-use rpr::obs::{export, TraceRecorder};
+use rpr::obs::{export, Event, TraceRecorder};
 use rpr::topology::{cluster_for, BandwidthProfile, Placement, GBIT};
 use rpr_proof::ProofMode;
 
@@ -123,21 +128,35 @@ fn exec_summary(o: &SupervisedReport) -> String {
     )
 }
 
-/// `(trace, summary, ledger)` digests of one sim run.
+/// `(trace, trace without wave boundaries and stream summaries, summary,
+/// ledger)` digests of one sim run.
 fn sim_digests(
     w: &World,
     block: u64,
     chunk: Option<u64>,
     storm: &FaultStorm,
     cfg: &SuperviseConfig,
-) -> [u64; 3] {
+) -> [u64; 4] {
     let ctx = w.ctx(block, chunk);
     let rec = TraceRecorder::default();
     let mut tracker = HealthTracker::with_defaults();
     let out = supervise_injected(&ctx, storm, cfg, &mut tracker, &rec).expect("storm completes");
-    let trace = export::to_json_lines(&rec.take_events());
+    let events = rec.take_events();
+    let filtered: Vec<Event> = events
+        .iter()
+        .filter(|e| {
+            !matches!(
+                e,
+                Event::TimestepStarted { .. }
+                    | Event::TimestepFinished { .. }
+                    | Event::StreamSummary { .. }
+            )
+        })
+        .cloned()
+        .collect();
     [
-        checksum64(trace.as_bytes()),
+        checksum64(export::to_json_lines(&events).as_bytes()),
+        checksum64(export::to_json_lines(&filtered).as_bytes()),
         checksum64(sim_summary(&out).as_bytes()),
         checksum64(out.ledger.to_json_lines().as_bytes()),
     ]
@@ -198,7 +217,7 @@ fn check<const N: usize>(actual: &[(String, [u64; N])], golden: &[(&str, [u64; N
 #[test]
 fn sim_supervisor_matches_golden_digests() {
     let w = World::new(6, 3);
-    let mut actual: Vec<(String, [u64; 3])> = Vec::new();
+    let mut actual: Vec<(String, [u64; 4])> = Vec::new();
     let default = SuperviseConfig::default();
 
     // `rpr chaos` acceptance storm: 256 MiB blocks, block and 8 MiB chunks.
@@ -279,54 +298,114 @@ fn exec_supervisor_matches_golden_digests() {
     check(&actual, EXEC_GOLDEN);
 }
 
-const SIM_GOLDEN: &[(&str, [u64; 3])] = &[
+const SIM_GOLDEN: &[(&str, [u64; 4])] = &[
     (
         "storm-s17-block",
-        [0x81e0ee3a91bf71a6, 0x22fcbb244f975601, 0xd4c45f7c0f16f4ef],
+        [
+            0xf112e5a302f7f3ae,
+            0x81e0ee3a91bf71a6,
+            0x22fcbb244f975601,
+            0xd4c45f7c0f16f4ef,
+        ],
     ),
     (
         "storm-s17-chunk",
-        [0xff5d82b00456dcb5, 0x09ca43225ec3871b, 0xd4c45f7c0f16f4ef],
+        [
+            0x29c6bd121c1853b5,
+            0xff5d82b00456dcb5,
+            0x09ca43225ec3871b,
+            0xd4c45f7c0f16f4ef,
+        ],
     ),
     (
         "storm-s4242-block",
-        [0x6100fcaee84869e1, 0x8a4f285fc6ce4261, 0x7e6417e71e486e7b],
+        [
+            0x2aaedd67e07f6d13,
+            0x6100fcaee84869e1,
+            0x8a4f285fc6ce4261,
+            0x7e6417e71e486e7b,
+        ],
     ),
     (
         "storm-s4242-chunk",
-        [0x61640e3ae8d1cfac, 0xf61905eae8d358e8, 0x7e6417e71e486e7b],
+        [
+            0x280fa434ccf221a5,
+            0x61640e3ae8d1cfac,
+            0xf61905eae8d358e8,
+            0x7e6417e71e486e7b,
+        ],
     ),
     (
         "lie-s21-advisory",
-        [0x38766a04b5b65be9, 0x376fffecc4be211f, 0x1c2546607c4c73ee],
+        [
+            0x863430714d2e7f64,
+            0x38766a04b5b65be9,
+            0x376fffecc4be211f,
+            0x1c2546607c4c73ee,
+        ],
     ),
     (
         "lie-s21-mandatory",
-        [0x0246254e453ac294, 0x5a5f703a01fcdfbc, 0x1bf1f86f8774f85e],
+        [
+            0xe7fd869aec1ec414,
+            0x0246254e453ac294,
+            0x5a5f703a01fcdfbc,
+            0x1bf1f86f8774f85e,
+        ],
     ),
     (
         "lie-s77-advisory",
-        [0xc4902eea52c46f40, 0xb2cbd75782bff06a, 0xeac3d0d46411a182],
+        [
+            0x43c71f37611c3b09,
+            0xc4902eea52c46f40,
+            0xb2cbd75782bff06a,
+            0xeac3d0d46411a182,
+        ],
     ),
     (
         "lie-s77-mandatory",
-        [0xcd7654687ade06b4, 0x4075124403ebcb39, 0x49120a2c1b298012],
+        [
+            0x470a2a2ed964127e,
+            0xcd7654687ade06b4,
+            0x4075124403ebcb39,
+            0x49120a2c1b298012,
+        ],
     ),
     (
         "slow-hedge-s3",
-        [0x67008c3b615a19ab, 0xeea5d1f5cff63919, 0xc804a53213cd8c5c],
+        [
+            0xf7d665130844d78e,
+            0x67008c3b615a19ab,
+            0xeea5d1f5cff63919,
+            0xc804a53213cd8c5c,
+        ],
     ),
     (
         "slow-hedge-s5",
-        [0x5fb8d4c04d7bfa2d, 0x85c7a92993aa073e, 0xef83b092169e0fbe],
+        [
+            0x622e6f523a365cef,
+            0x5fb8d4c04d7bfa2d,
+            0x85c7a92993aa073e,
+            0xef83b092169e0fbe,
+        ],
     ),
     (
         "ladder-two-crashes",
-        [0xe09351492b5d766b, 0x51a65d64adeccf98, 0xd4c45f7c0f16f4ef],
+        [
+            0x6de7aa639a4155c7,
+            0xe09351492b5d766b,
+            0x51a65d64adeccf98,
+            0xd4c45f7c0f16f4ef,
+        ],
     ),
     (
         "ladder-deadline",
-        [0x6272c4f38f73921a, 0xb63efbdafdf0b82a, 0x7e6417e71e486e7b],
+        [
+            0xc64c58c56d8869cb,
+            0x6272c4f38f73921a,
+            0xb63efbdafdf0b82a,
+            0x7e6417e71e486e7b,
+        ],
     ),
 ];
 
