@@ -718,6 +718,8 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
                 entries.push(o.finish());
             }
             Event::DegradedFallback { tier, reason, t } => {
+                let mut args = Obj::new();
+                args.str("reason", reason);
                 let mut o = Obj::new();
                 o.str("name", &format!("degraded fallback: {tier}"))
                     .str("cat", "deadline")
@@ -726,7 +728,7 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
                     .usize("pid", pipeline_pid)
                     .usize("tid", 0)
                     .str("s", "p")
-                    .raw("args", &format!("{{\"reason\":\"{reason}\"}}"));
+                    .raw("args", &args.finish());
                 entries.push(o.finish());
             }
             Event::StripeEnqueued { stripe, level, t }
@@ -1340,6 +1342,22 @@ mod tests {
         assert!(chrome.contains("stripe 42 escalated 1→2"));
         assert!(chrome.contains("stripe 43 permanently lost"));
         assert!(chrome.contains("journal checkpoint #9"));
+    }
+
+    #[test]
+    fn degraded_fallback_reason_is_escaped_in_chrome_args() {
+        let events = vec![Event::DegradedFallback {
+            tier: "traditional".into(),
+            reason: "budget \"4\" spent\nretry".into(),
+            t: 1.5,
+        }];
+        let chrome = to_chrome_trace(&events);
+        assert_structurally_valid_json(&chrome);
+        assert!(
+            chrome.contains(r#""args":{"reason":"budget \"4\" spent\nretry"}"#),
+            "{chrome}"
+        );
+        assert!(!chrome.contains("spent\nretry"), "raw newline in {chrome}");
     }
 
     #[test]
