@@ -32,7 +32,8 @@ usage:
 
 BLOCKS   comma-separated block names or indices: d1, p0, 3, d0,d2
 options:
-  --scheme S        rpr | car | chain | traditional | traditional-local (default rpr)
+  --scheme S        rpr | car | chain | traditional | traditional-local (default rpr;
+                                                                  inject, chaos: rpr only)
   --placement P     compact | preplaced | flat                   (default preplaced)
   --block-mib M     block size in MiB                            (default 256)
   --chunk-size M    streaming chunk in MiB; payloads cut through
@@ -114,8 +115,8 @@ pub enum Command {
     Compare(PlanArgs),
     /// Simulate one scheme and dump its structured repair trace.
     Trace(TraceArgs),
-    /// Run one scheme under a seed-picked injected fault and dump the
-    /// degraded repair trace.
+    /// Run a supervised RPR repair under one seed-picked injected fault
+    /// and dump the degraded repair trace.
     Inject(InjectArgs),
     /// Drive a repair through the supervisor under a multi-generation
     /// fault storm (crash of a replacement helper included).

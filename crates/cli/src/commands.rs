@@ -7,12 +7,10 @@ use crate::args::{
 use rpr_codec::{CodeParams, StripeCodec};
 use rpr_core::analysis::{rpr_repair_time, traditional_repair_time, AnalysisParams};
 use rpr_core::{
-    crash_candidates, simulate, simulate_injected, supervise_injected, viz, CarPlanner, CostModel,
-    Op, Payload, RepairContext, RepairPlanner, RprPlanner, SuperviseConfig, TraditionalPlanner,
+    crash_candidates, simulate, supervise_injected, viz, CarPlanner, CostModel, Op, Payload,
+    RepairContext, RepairPlanner, RprPlanner, SuperviseConfig, TraditionalPlanner,
 };
-use rpr_faults::{
-    CrashSite, FaultKind, FaultPlan, FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault,
-};
+use rpr_faults::{CrashSite, FaultKind, FaultStorm, HealthTracker, SplitMix64, StormFault};
 use rpr_proof::{ProofLedger, ProofMode};
 use rpr_topology::{cluster_for, BandwidthProfile, Placement, PlacementPolicy, GBIT};
 
@@ -260,16 +258,16 @@ fn trace(t: &TraceArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Turn a fault *family* into a concrete [`FaultPlan`]: the site (node,
+/// Turn a fault *family* into a concrete [`FaultKind`]: the site (node,
 /// op, rack, timestep) is picked from the seed, so the same seed always
 /// degrades the same transfer — the property the chaos determinism check
 /// in `scripts/verify.sh` relies on.
-fn seeded_fault_plan(
+fn seeded_fault(
     plan: &rpr_core::RepairPlan,
     ctx: &RepairContext<'_>,
     choice: FaultChoice,
     seed: u64,
-) -> Result<FaultPlan, String> {
+) -> Result<FaultKind, String> {
     let mut rng = SplitMix64::new(seed);
     let sends_matching = |pred: &dyn Fn(&Op) -> bool| -> Vec<usize> {
         plan.ops
@@ -308,9 +306,7 @@ fn seeded_fault_plan(
                 )
             });
             if ints.is_empty() {
-                return Err(
-                    "plan ships no intermediate blocks to corrupt (try --scheme rpr)".into(),
-                );
+                return Err("plan ships no intermediate blocks to corrupt".into());
             }
             FaultKind::CorruptIntermediate {
                 op: ints[rng.pick(ints.len())],
@@ -352,7 +348,7 @@ fn seeded_fault_plan(
             FaultKind::RackSwitchOutage { rack, timestep }
         }
     };
-    Ok(FaultPlan::new(seed).with(kind))
+    Ok(kind)
 }
 
 /// Deterministic stripe contents for the exec backend (same LCG as the
@@ -375,27 +371,45 @@ fn deterministic_stripe(codec: &StripeCodec, len: usize, seed: u64) -> Vec<Vec<u
     codec.encode_stripe(&refs)
 }
 
-/// Run the scenario once under a seed-picked injected fault and dump the
-/// degraded trace (`--backend sim` replays on the virtual clock and is
-/// bit-deterministic; `--backend exec` moves real bytes and verifies the
-/// reconstruction). Trace to `--out`/stdout, human summary to stderr.
+/// The supervisor builds the generation-0 plan itself (RPR first,
+/// degrading through the tier ladder), so it cannot honour another
+/// `--scheme`.
+fn require_rpr(command: &str, scheme: &str) -> Result<(), String> {
+    if scheme == "rpr" {
+        Ok(())
+    } else {
+        Err(format!(
+            "{command} supervises an RPR repair; --scheme {scheme} is not supported"
+        ))
+    }
+}
+
+/// Run the scenario once under a seed-picked injected fault — a
+/// one-generation storm of one [`StormFault::Pinned`] fault through the
+/// supervisor — and dump the degraded trace (`--backend sim` replays on
+/// the virtual clock and is bit-deterministic; `--backend exec` moves
+/// real bytes and verifies the reconstruction). Trace to `--out`/stdout,
+/// human summary to stderr.
 fn inject(t: &InjectArgs) -> Result<(), String> {
     let a = &t.plan;
+    require_rpr("inject", &a.scheme)?;
     let w = world(a);
     let ctx = context(a, &w);
-    let plan = planner_by_name(&a.scheme).plan(&ctx);
+    let plan = RprPlanner::new().plan(&ctx);
     plan.validate(&w.codec, &w.topo, &w.placement)
         .expect("planner output must validate");
-    let fp = seeded_fault_plan(&plan, &ctx, t.fault, t.seed)?;
-    eprintln!("# injecting (seed {}): {:?}", t.seed, fp.faults[0]);
+    let kind = seeded_fault(&plan, &ctx, t.fault, t.seed)?;
+    eprintln!("# injecting (seed {}): {kind:?}", t.seed);
 
-    let policy = RetryPolicy::default();
+    let storm = FaultStorm::new(t.seed).with_generation(vec![StormFault::Pinned(kind)]);
+    let cfg = SuperviseConfig::default();
+    let mut tracker = HealthTracker::with_defaults();
     let rec = rpr_obs::TraceRecorder::default();
     // (makespan, clean, verified, retries, replans, reused, final scheme)
     let (makespan, clean, verified, retries, replans, reused, final_scheme);
     let summary = match t.backend {
         InjectBackend::Sim => {
-            let out = simulate_injected(&plan, &ctx, &fp, &policy, &rec)?;
+            let out = supervise_injected(&ctx, &storm, &cfg, &mut tracker, &rec)?;
             (makespan, clean, verified) = (out.repair_time, Some(out.clean_time), None);
             (retries, replans, reused) = (out.retries, out.replans, out.reused_ops);
             final_scheme = out.final_scheme.to_string();
@@ -413,8 +427,9 @@ fn inject(t: &InjectArgs) -> Result<(), String> {
         }
         InjectBackend::Exec => {
             let stripe = deterministic_stripe(&w.codec, a.block_bytes as usize, t.seed);
-            let out = rpr_exec::execute_resilient(&plan, &ctx, &stripe, &rec, &fp, &policy)
-                .map_err(|e| e.to_string())?;
+            let out =
+                rpr_exec::execute_supervised(&ctx, &stripe, &rec, &storm, &cfg, &mut tracker)
+                    .map_err(|e| e.to_string())?;
             (makespan, clean, verified) =
                 (out.report.wall_seconds, None, Some(out.report.verified));
             (retries, replans, reused) = (out.retries, out.replans, out.reused_ops);
@@ -447,7 +462,7 @@ fn inject(t: &InjectArgs) -> Result<(), String> {
             }),
             json_str(&a.scheme),
             t.seed,
-            json_str(&format!("{:?}", fp.faults[0])),
+            json_str(&format!("{kind:?}")),
             retries + replans + 1,
             retries,
             replans,
@@ -536,9 +551,10 @@ fn storm_fault(f: ChaosFault) -> StormFault {
 /// the virtual clock; `--backend exec` moves real bytes, cancels real
 /// transfers when hedging fires, and byte-verifies the reconstruction.
 /// The supervisor owns scheme selection (RPR first, degrading through
-/// the tier ladder), so `--scheme` is ignored here.
+/// the tier ladder), so `--scheme` must be `rpr`.
 fn chaos(c: &ChaosArgs) -> Result<(), String> {
     let a = &c.plan;
+    require_rpr("chaos", &a.scheme)?;
     let w = world(a);
     let ctx = context(a, &w);
     let mut storm = FaultStorm::new(c.seed);

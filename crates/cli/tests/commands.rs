@@ -55,3 +55,20 @@ fn parity_failures_through_the_cli() {
     run("plan --code 12,4 --fail p2 --block-mib 8").expect("parity repair");
     run("plan --code 12,4 --fail p0,p1 --block-mib 8").expect("double parity");
 }
+
+#[test]
+fn supervised_commands_reject_non_rpr_schemes() {
+    for verb in ["inject", "chaos"] {
+        run(&format!(
+            "{verb} --code 6,3 --fail d1 --scheme rpr --block-mib 16 --json"
+        ))
+        .unwrap_or_else(|e| panic!("{verb}: {e}"));
+        for scheme in ["car", "traditional"] {
+            let err = run(&format!(
+                "{verb} --code 6,3 --fail d1 --scheme {scheme} --block-mib 16 --json"
+            ))
+            .unwrap_err();
+            assert!(err.contains(&format!("--scheme {scheme}")), "{verb}: {err}");
+        }
+    }
+}

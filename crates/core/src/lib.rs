@@ -41,10 +41,7 @@ pub use scenario::RepairContext;
 pub use schemes::{
     CarPlanner, ChainPlanner, RecoverySite, RepairPlanner, RprPlanner, TraditionalPlanner,
 };
-pub use robust::{
-    check_retry_budget, crash_candidates, replan_after_crash, resolve, simulate_injected, AttemptFault, CrashFault,
-    Replan, ResolvedFaults, RobustOutcome,
-};
+pub use robust::{crash_candidates, AttemptFault, CrashFault, ResolvedFaults};
 pub use sim::{
     chunk_sizes, lower_plan_into, network_for_ctx, simulate, simulate_batch, BatchOutcome,
     SimOutcome,

@@ -1,13 +1,15 @@
 //! The repair supervisor: drives a repair to verified completion under
 //! an arbitrary *sequence* of faults, on either backend.
 //!
-//! [`robust`](crate::robust) handles exactly one helper crash per repair;
-//! this module generalizes it into a bounded **supervision loop**,
-//! [`supervise`], written once and generic over a [`RepairBackend`].
-//! Each iteration is one *generation*: a plan (the original, or a
-//! replan) runs on the backend until it completes, a storm fault kills
-//! one of its helpers, the proof plane convicts a lying helper, or a
-//! hedge cancels a straggler. The loop then
+//! Every injected fault reaches a backend through one bounded
+//! **supervision loop**, [`supervise`], written once and generic over a
+//! [`RepairBackend`]. A single fault at an exact site (`rpr inject`) is
+//! a one-generation storm of one [`StormFault::Pinned`] fault. Each
+//! iteration is one *generation*: [`robust`](crate::robust) pins the
+//! generation's storm bucket to the ops of its plan (the original, or a
+//! replan), and the plan runs on the backend until it completes, a storm
+//! fault kills one of its helpers, the proof plane convicts a lying
+//! helper, or a hedge cancels a straggler. The loop then
 //!
 //! 1. banks every completed partial result into a **pool** keyed by
 //!    `(node, symbolic coefficient vector)` — entries survive across
@@ -44,15 +46,13 @@ mod sim;
 
 pub use sim::supervise_injected;
 
-use crate::plan::{Op, OpId, RepairPlan};
-use crate::robust::{check_retry_budget, fallback_plan, AttemptFault, CrashFault, ResolvedFaults};
+use crate::plan::{Op, RepairPlan};
+use crate::robust::{check_retry_budget, resolve_storm_bucket, ResolvedFaults};
 use crate::scenario::RepairContext;
-use crate::schemes::{RepairPlanner, TraditionalPlanner};
+use crate::schemes::{CarPlanner, RepairPlanner, RprPlanner, TraditionalPlanner};
 use crate::trace::plan_built;
 use rpr_codec::BlockId;
-use rpr_faults::{
-    reason, CrashSite, FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault,
-};
+use rpr_faults::{FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault};
 use rpr_obs::{Event, Recorder};
 use rpr_proof::{ProofKey, ProofLedger, ProofMode, RepairProof};
 use rpr_topology::{NodeId, Topology};
@@ -155,7 +155,7 @@ pub struct SuperviseOutcome {
     pub generations: Vec<GenerationRecord>,
     /// Transient-fault retries that actually fired.
     pub retries: usize,
-    /// Replan generations after helper crashes and proof convictions.
+    /// Replanned generations after helper crashes and proof convictions.
     pub replans: usize,
     /// Total ops satisfied from the partial pool across all generations.
     pub reused_ops: usize,
@@ -218,227 +218,6 @@ impl std::fmt::Display for SuperviseError {
 
 impl std::error::Error for SuperviseError {}
 
-/// One storm bucket resolved against a concrete generation plan.
-#[derive(Debug, Clone)]
-pub(crate) struct GenFaults {
-    /// The concrete faults: per-op attempt failures, at most one crash,
-    /// link derates.
-    pub resolved: ResolvedFaults,
-    /// Human-readable site descriptions, in injection order.
-    pub descriptions: Vec<String>,
-    /// Crash faults beyond the first: a generation ends at its first
-    /// crash, so extra crashes carry over into the next bucket.
-    pub deferred: Vec<StormFault>,
-}
-
-/// Resolve one storm bucket against the current generation's plan.
-///
-/// The loop calls this for every generation on either backend, so the
-/// seeded picks depend only on the plan and the storm: `lowered`
-/// restricts targets to ops the generation actually executes, `prev_senders` (cross-rack senders of
-/// the *previous* generation's plan) anchors
-/// [`CrashSite::NewHelper`] — "crash the replacement" — and every free
-/// parameter draws from `rng` in declaration order.
-pub(crate) fn resolve_storm_bucket(
-    bucket: &[StormFault],
-    plan: &RepairPlan,
-    lowered: &[bool],
-    prev_senders: Option<&[usize]>,
-    ctx: &RepairContext<'_>,
-    rng: &mut SplitMix64,
-) -> GenFaults {
-    let (waves, _) = plan.cross_waves(ctx.topo);
-    let mut out = GenFaults {
-        resolved: ResolvedFaults {
-            op_faults: vec![Vec::new(); plan.ops.len()],
-            crash: None,
-            slow: Vec::new(),
-            lies: Vec::new(),
-        },
-        descriptions: Vec::new(),
-        deferred: Vec::new(),
-    };
-
-    // Executed sends (timeout/corrupt targets), cross sends, and crash
-    // candidates (node, wave, op) — helpers that host a live block.
-    let mut send_ops: Vec<usize> = Vec::new();
-    let mut cross_ops: Vec<usize> = Vec::new();
-    let mut candidates: Vec<(usize, usize, usize)> = Vec::new();
-    for (i, op) in plan.ops.iter().enumerate() {
-        if !lowered[i] {
-            continue;
-        }
-        if let Op::Send { from, .. } = op {
-            send_ops.push(i);
-            if let Some(w) = waves[i] {
-                cross_ops.push(i);
-                if *from != plan.recovery {
-                    if let Some(b) = ctx.placement.block_on(*from) {
-                        if !ctx.failed.contains(&b) {
-                            candidates.push((from.0, w, i));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    candidates.sort_unstable();
-    candidates.sort_by_key(|&(n, w, _)| (w, n));
-    let mut nodes: Vec<usize> = candidates.iter().map(|&(n, _, _)| n).collect();
-    nodes.dedup();
-    let sender_nodes: Vec<usize> = {
-        let mut ns: Vec<usize> = send_ops
-            .iter()
-            .filter_map(|&i| match &plan.ops[i] {
-                Op::Send { from, .. } if *from != plan.recovery => Some(from.0),
-                _ => None,
-            })
-            .collect();
-        ns.sort_unstable();
-        ns.dedup();
-        ns
-    };
-
-    let trigger_for = |node: usize| -> Option<(usize, usize)> {
-        candidates
-            .iter()
-            .find(|&&(n, _, _)| n == node)
-            .map(|&(_, w, i)| (w, i))
-    };
-
-    for fault in bucket {
-        match fault {
-            StormFault::Crash(site) => {
-                if out.resolved.crash.is_some() {
-                    out.deferred.push(*fault);
-                    continue;
-                }
-                if nodes.is_empty() {
-                    out.descriptions
-                        .push("crash skipped (no live cross-rack helpers)".into());
-                    continue;
-                }
-                let node = match site {
-                    CrashSite::Node(n) if nodes.contains(n) => *n,
-                    CrashSite::Node(_) | CrashSite::SeedPick => nodes[rng.pick(nodes.len())],
-                    CrashSite::NewHelper => {
-                        let fresh: Vec<usize> = nodes
-                            .iter()
-                            .copied()
-                            .filter(|n| prev_senders.is_none_or(|p| !p.contains(n)))
-                            .collect();
-                        if fresh.is_empty() || prev_senders.is_none() {
-                            nodes[rng.pick(nodes.len())]
-                        } else {
-                            fresh[rng.pick(fresh.len())]
-                        }
-                    }
-                };
-                let (w, i) = trigger_for(node).expect("node came from candidates");
-                out.resolved.crash = Some(CrashFault {
-                    node: NodeId(node),
-                    timestep: w,
-                    trigger: OpId(i),
-                });
-                out.descriptions
-                    .push(format!("{} node {node} (wave {w}, op {i})", fault.name()));
-            }
-            StormFault::Timeout => {
-                if send_ops.is_empty() {
-                    out.descriptions.push("timeout skipped (no sends)".into());
-                    continue;
-                }
-                let i = send_ops[rng.pick(send_ops.len())];
-                let fraction = 0.25 + 0.5 * rng.next_f64();
-                out.resolved.op_faults[i].push(AttemptFault {
-                    fraction,
-                    reason: reason::TIMEOUT,
-                });
-                out.descriptions.push(format!("timeout op {i}"));
-            }
-            StormFault::Corrupt => {
-                if send_ops.is_empty() {
-                    out.descriptions.push("corrupt skipped (no sends)".into());
-                    continue;
-                }
-                let i = send_ops[rng.pick(send_ops.len())];
-                out.resolved.op_faults[i].push(AttemptFault {
-                    fraction: 1.0,
-                    reason: reason::CORRUPT,
-                });
-                out.descriptions.push(format!("corrupt op {i}"));
-            }
-            StormFault::Slow { factor } => {
-                if sender_nodes.is_empty() {
-                    out.descriptions.push("slow skipped (no helpers)".into());
-                    continue;
-                }
-                let node = sender_nodes[rng.pick(sender_nodes.len())];
-                out.resolved.slow.push((NodeId(node), *factor));
-                out.descriptions
-                    .push(format!("slow node {node} (x{factor:.2})"));
-            }
-            StormFault::Lie => {
-                // A Byzantine helper: its send carries wrong bytes under
-                // a valid FNV checksum, so transport-level retry never
-                // fires — only the proof plane can catch it. The target
-                // must be a helper send (the recovery node folds, it does
-                // not serve blocks) so there is a node to accuse.
-                let liars: Vec<usize> = send_ops
-                    .iter()
-                    .copied()
-                    .filter(|&i| matches!(&plan.ops[i], Op::Send { from, .. } if *from != plan.recovery))
-                    .collect();
-                if liars.is_empty() {
-                    out.descriptions
-                        .push("lie skipped (no helper sends)".into());
-                    continue;
-                }
-                let i = liars[rng.pick(liars.len())];
-                let node = match &plan.ops[i] {
-                    Op::Send { from, .. } => from.0,
-                    _ => unreachable!("lie targets sends"),
-                };
-                out.resolved.lies.push(i);
-                out.descriptions.push(format!("lie op {i} (node {node})"));
-            }
-            StormFault::RackOutage => {
-                let mut racks: Vec<usize> = cross_ops
-                    .iter()
-                    .filter_map(|&i| match &plan.ops[i] {
-                        Op::Send { from, .. } => Some(ctx.topo.rack_of(*from).0),
-                        _ => None,
-                    })
-                    .collect();
-                racks.sort_unstable();
-                racks.dedup();
-                if racks.is_empty() {
-                    out.descriptions
-                        .push("rack outage skipped (no cross sends)".into());
-                    continue;
-                }
-                let rack = racks[rng.pick(racks.len())];
-                let mut hit = 0usize;
-                for &i in &cross_ops {
-                    if let Op::Send { from, .. } = &plan.ops[i] {
-                        if ctx.topo.rack_of(*from).0 == rack {
-                            let fraction = 0.25 + 0.5 * rng.next_f64();
-                            out.resolved.op_faults[i].push(AttemptFault {
-                                fraction,
-                                reason: reason::SWITCH_OUTAGE,
-                            });
-                            hit += 1;
-                        }
-                    }
-                }
-                out.descriptions
-                    .push(format!("rack {rack} outage ({hit} transfers)"));
-            }
-        }
-    }
-    out
-}
-
 /// Pool key: `(node, symbolic coefficient vector)` of a banked partial.
 /// Two ops with equal keys hold byte-identical values.
 pub type PoolKey = (usize, Vec<u8>);
@@ -468,11 +247,35 @@ impl PoolReplan {
     }
 }
 
+/// First validating plan along the RPR → CAR → traditional chain.
+fn fallback_plan(ctx: &RepairContext<'_>) -> Result<RepairPlan, String> {
+    let mut errors = Vec::new();
+    let rpr = RprPlanner::new().plan(ctx);
+    match rpr.validate(ctx.codec, ctx.topo, ctx.placement) {
+        Ok(()) => return Ok(rpr),
+        Err(e) => errors.push(format!("rpr: {e}")),
+    }
+    if ctx.failed.len() == 1 {
+        let car = CarPlanner::new().plan(ctx);
+        match car.validate(ctx.codec, ctx.topo, ctx.placement) {
+            Ok(()) => return Ok(car),
+            Err(e) => errors.push(format!("car: {e}")),
+        }
+    }
+    let trad = TraditionalPlanner::new().plan(ctx);
+    match trad.validate(ctx.codec, ctx.topo, ctx.placement) {
+        Ok(()) => return Ok(trad),
+        Err(e) => errors.push(format!("traditional: {e}")),
+    }
+    Err(format!("replan: no fallback validates ({})", errors.join("; ")))
+}
+
 /// Build a plan for `ctx` at `tier`, marking every op whose output the
 /// partial pool already holds (same node, same symbolic coefficient
 /// vector — hence byte-identical contents) as reused, and pruning the
-/// DAG walk behind reused ops exactly like
-/// [`replan_after_crash`](crate::robust::replan_after_crash).
+/// DAG walk behind reused ops: an op reachable only through reused ops
+/// does not execute. At [`Tier::Full`] the first plan to validate along
+/// the RPR → CAR (single failure only) → traditional chain wins.
 ///
 /// The sim pool carries only keys, the exec pool maps the same keys to
 /// real byte buffers, so `V` is generic.
@@ -483,8 +286,10 @@ pub fn plan_with_pool<V>(
 ) -> Result<PoolReplan, String> {
     let usable = ctx.survivors().len();
     if usable < ctx.params().n {
-        // Same guard as `fallback_plan`: an avoid list must never turn
-        // into a planner panic — the supervisor retries unfiltered.
+        // An avoid list (quarantined helpers) can starve the planners
+        // below the n survivors decoding needs; that must surface as an
+        // error the supervisor can catch with an unfiltered retry, not a
+        // planner panic.
         return Err(format!(
             "replan: only {usable} usable survivors (need {})",
             ctx.params().n
@@ -679,8 +484,8 @@ pub trait RepairBackend {
     /// that ended at `now`.
     fn backoff(&mut self, now: f64, delay: f64);
 
-    /// The generation completed the repair: record any end-of-repair
-    /// events and build the backend's report.
+    /// The generation completed the repair: record its wave boundaries
+    /// and any other end-of-repair events, and build the backend's report.
     fn complete(
         &mut self,
         gen: &Generation<'_, '_, Self::Value>,
@@ -929,7 +734,7 @@ pub fn supervise<B: RepairBackend>(
             prev_senders.as_deref(),
             &ctx_g,
             &mut rng,
-        );
+        )?;
         carry = gen_faults.deferred;
         out.fault_sites.extend(gen_faults.descriptions);
         let mut faults = gen_faults.resolved;
@@ -1144,8 +949,8 @@ pub fn supervise<B: RepairBackend>(
             ctx_g = next_context(ctx, &failed, plan.recovery, tier, &dead);
         }
 
-        // Replan around the dead, accused, quarantined and straggling
-        // nodes, reusing the pool.
+        // Plan the next generation around the dead, accused, quarantined
+        // and straggling nodes, reusing the pool.
         let mut avoid = quarantined(tracker);
         if let Some((_, n)) = straggler.filter(|(_, n)| !avoid.contains(n)) {
             avoid.push(n);

@@ -23,8 +23,8 @@ mod ratelimit;
 
 pub use arena::ArenaStats;
 pub use executor::{
-    execute, execute_recorded, execute_resilient, execute_supervised, ExecError, ExecReport,
-    OpTiming, ResilientReport, SupervisedReport,
+    execute, execute_recorded, execute_supervised, ExecError, ExecReport, OpTiming,
+    SupervisedReport,
 };
 pub use ratelimit::TokenBucket;
 

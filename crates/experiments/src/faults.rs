@@ -1,23 +1,25 @@
 //! Degraded-mode repair: how much does an injected fault cost RPR?
 //!
 //! For every single-failure configuration of the paper, run the RPR repair
-//! on the flow simulator under each applicable fault family (fixed seed,
-//! so the whole table is deterministic) and compare against the fault-free
-//! repair time. Crash rows exercise the full recovery path: replanning
-//! around the dead helper with partial-result reuse
-//! (`docs/ROBUSTNESS.md`).
+//! through the supervisor on the flow simulator under each applicable
+//! fault family, pinned to one site (fixed seed, so the whole table is
+//! deterministic), and compare against the fault-free repair time. Crash
+//! rows exercise the full recovery path: replanning around the dead
+//! helper with partial-result reuse (`docs/ROBUSTNESS.md`).
 
 use crate::util::{self, Fixture, PAPER_CODES};
 use rpr_codec::BlockId;
-use rpr_core::{crash_candidates, simulate_injected, Op, Payload, RepairPlanner, RprPlanner};
-use rpr_faults::{FaultKind, FaultPlan, RetryPolicy};
+use rpr_core::{
+    crash_candidates, supervise_injected, Op, Payload, RepairPlanner, RprPlanner, SuperviseConfig,
+};
+use rpr_faults::{FaultKind, FaultStorm, HealthTracker, StormFault};
 
 /// Seed for every fault table row — fixed so reruns are bit-identical.
 const SEED: u64 = 17;
 
 pub fn faults() {
     let block: u64 = 256 << 20;
-    let policy = RetryPolicy::default();
+    let cfg = SuperviseConfig::default();
     let mut rows = Vec::new();
     for (n, k) in PAPER_CODES {
         let fx = Fixture::simics(n, k, block);
@@ -59,8 +61,9 @@ pub fn faults() {
         }
 
         for (label, kind) in cases {
-            let fp = FaultPlan::new(SEED).with(kind);
-            let out = simulate_injected(&plan, &ctx, &fp, &policy, rpr_obs::noop())
+            let storm = FaultStorm::new(SEED).with_generation(vec![StormFault::Pinned(kind)]);
+            let mut tracker = HealthTracker::with_defaults();
+            let out = supervise_injected(&ctx, &storm, &cfg, &mut tracker, rpr_obs::noop())
                 .expect("injected repair must complete");
             rows.push(vec![
                 format!("({n},{k})"),

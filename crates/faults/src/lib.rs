@@ -2,7 +2,8 @@
 //!
 //! This crate is the dependency-free bottom of the robustness layer: it
 //! defines *what can go wrong* during a repair ([`FaultKind`],
-//! [`FaultPlan`]) and *how the system reacts* ([`RetryPolicy`]), plus two
+//! [`StormFault`], [`FaultStorm`]) and *how the system reacts*
+//! ([`RetryPolicy`]), plus two
 //! small utilities the recovery machinery needs — a seeded [`SplitMix64`]
 //! PRNG so every injected fault is reproducible, and a [`checksum64`]
 //! digest used to verify intermediate blocks in flight.
@@ -94,9 +95,11 @@ pub fn checksum64(data: &[u8]) -> u64 {
     h
 }
 
-/// One injectable fault. Indices are plain `usize` (node, rack, plan-op,
-/// pipeline timestep); `rpr-core` validates them against a concrete plan.
-#[derive(Debug, Clone, PartialEq)]
+/// One injectable fault pinned to an exact site. Indices are plain
+/// `usize` (node, rack, plan-op, pipeline timestep); `rpr-core` validates
+/// them against the plan of the generation they are injected into (see
+/// [`StormFault::Pinned`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Helper `node` dies immediately before performing its first
     /// cross-rack send scheduled at wave `timestep` or later. Survived by
@@ -135,40 +138,6 @@ pub enum FaultKind {
         /// Pipeline timestep during which the outage occurs.
         timestep: usize,
     },
-}
-
-/// A deterministic, seed-driven set of faults to inject into one repair.
-///
-/// The seed feeds a [`SplitMix64`] stream that fixes every free parameter
-/// (failure fractions, corruption offsets), so the same plan + same
-/// `FaultPlan` produce bit-identical behavior on the simulator backend.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultPlan {
-    /// Seed for the deterministic parameter stream.
-    pub seed: u64,
-    /// The faults to inject, in declaration order.
-    pub faults: Vec<FaultKind>,
-}
-
-impl FaultPlan {
-    /// An empty fault plan with the given seed.
-    pub fn new(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            faults: Vec::new(),
-        }
-    }
-
-    /// Builder-style: append one fault.
-    pub fn with(mut self, fault: FaultKind) -> FaultPlan {
-        self.faults.push(fault);
-        self
-    }
-
-    /// True when no faults are injected.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
 }
 
 /// Bounded-retry policy for failed transfers and crash recovery.
@@ -261,9 +230,9 @@ pub enum CrashSite {
     NewHelper,
 }
 
-/// One fault scheduled by the chaos process, described independently of
-/// any concrete plan. The supervisor turns these into valid
-/// [`FaultKind`]s by inspecting the generation's plan.
+/// One fault scheduled into a storm generation. Every variant but
+/// [`StormFault::Pinned`] is described independently of any concrete
+/// plan; the supervisor sites it by inspecting the generation's plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StormFault {
     /// A helper crash at the given site. Each crash ends the current
@@ -286,6 +255,10 @@ pub enum StormFault {
     /// verification (`rpr-proof`) can catch it. Invisible when the
     /// repair runs with proofs off.
     Lie,
+    /// A fault at an exact site of the generation's plan (what
+    /// `rpr inject` injects). A site the plan does not have fails the
+    /// repair instead of being re-picked.
+    Pinned(FaultKind),
 }
 
 impl StormFault {
@@ -300,6 +273,13 @@ impl StormFault {
             StormFault::Slow { .. } => "slow",
             StormFault::RackOutage => "rack",
             StormFault::Lie => "lie",
+            StormFault::Pinned(kind) => match kind {
+                FaultKind::HelperCrash { .. } => "crash",
+                FaultKind::TransferTimeout { .. } => "timeout",
+                FaultKind::CorruptIntermediate { .. } => "corrupt",
+                FaultKind::SlowLink { .. } => "slow",
+                FaultKind::RackSwitchOutage { .. } => "rack",
+            },
         }
     }
 }
@@ -972,16 +952,20 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_builder_appends_in_order() {
-        let fp = FaultPlan::new(3)
-            .with(FaultKind::TransferTimeout { op: 2 })
-            .with(FaultKind::SlowLink {
+    fn pinned_faults_keep_their_order_in_a_bucket() {
+        let kinds = [
+            FaultKind::TransferTimeout { op: 2 },
+            FaultKind::SlowLink {
                 node: 1,
                 factor: 0.5,
-            });
-        assert_eq!(fp.seed, 3);
-        assert_eq!(fp.faults.len(), 2);
-        assert!(!fp.is_empty());
-        assert!(FaultPlan::new(0).is_empty());
+            },
+        ];
+        let storm = FaultStorm::new(3).with_generation(kinds.map(StormFault::Pinned).to_vec());
+        assert_eq!(storm.seed, 3);
+        assert_eq!(storm.generations[0], kinds.map(StormFault::Pinned));
+        assert_eq!(storm.fault_count(), 2);
+        assert!(!storm.is_empty());
+        let names: Vec<&str> = storm.generations[0].iter().map(StormFault::name).collect();
+        assert_eq!(names, ["timeout", "slow"]);
     }
 }

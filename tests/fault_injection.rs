@@ -1,4 +1,6 @@
-//! Deterministic chaos suite: injected faults across both backends.
+//! Deterministic chaos suite: single pinned faults (one-generation
+//! storms of [`StormFault::Pinned`], what `rpr inject` runs) across both
+//! backends of the supervisor.
 //!
 //! The headline guarantees (see `docs/ROBUSTNESS.md`):
 //! * a helper crash at *any* pipeline timestep of a single-failure RPR
@@ -11,11 +13,11 @@
 
 use rpr::codec::{BlockId, CodeParams, StripeCodec};
 use rpr::core::{
-    crash_candidates, simulate_injected, CostModel, Op, Payload, RepairContext, RepairPlanner,
-    RprPlanner,
+    crash_candidates, supervise_injected, CostModel, Op, Payload, RepairContext, RepairPlanner,
+    RprPlanner, SuperviseConfig,
 };
-use rpr::exec::execute_resilient;
-use rpr::faults::{FaultKind, FaultPlan, RetryPolicy, SplitMix64};
+use rpr::exec::execute_supervised;
+use rpr::faults::{FaultKind, FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault};
 use rpr::obs::{export, Event, TraceRecorder};
 use rpr::topology::{cluster_for, BandwidthProfile, Placement};
 
@@ -81,6 +83,18 @@ fn fast_policy() -> RetryPolicy {
     }
 }
 
+/// A one-generation storm of the pinned `kinds`.
+fn pinned(seed: u64, kinds: &[FaultKind]) -> FaultStorm {
+    FaultStorm::new(seed).with_generation(kinds.iter().copied().map(StormFault::Pinned).collect())
+}
+
+fn cfg(policy: RetryPolicy) -> SuperviseConfig {
+    SuperviseConfig {
+        policy,
+        ..SuperviseConfig::default()
+    }
+}
+
 /// Simulated chaos sweep: for every paper configuration, crash every
 /// possible helper at every timestep it participates in; the repair must
 /// always complete by replanning, never faster than the clean run.
@@ -94,10 +108,13 @@ fn sim_crash_at_every_site_replans_and_completes() {
         let sites = crash_candidates(&plan, &ctx);
         assert!(!sites.is_empty(), "({n},{k}): no crash sites");
         for (site, &(node, timestep)) in sites.iter().enumerate() {
-            let fp = FaultPlan::new(1000 + site as u64)
-                .with(FaultKind::HelperCrash { node, timestep });
+            let storm = pinned(
+                1000 + site as u64,
+                &[FaultKind::HelperCrash { node, timestep }],
+            );
             let rec = TraceRecorder::default();
-            let out = simulate_injected(&plan, &ctx, &fp, &fast_policy(), &rec)
+            let mut tracker = HealthTracker::with_defaults();
+            let out = supervise_injected(&ctx, &storm, &cfg(fast_policy()), &mut tracker, &rec)
                 .unwrap_or_else(|e| panic!("({n},{k}) crash node {node}@{timestep}: {e}"));
             assert_eq!(out.replans, 1, "({n},{k}) node {node}@{timestep}");
             assert!(
@@ -144,11 +161,24 @@ fn exec_crash_at_every_timestep_recovers_byte_identically() {
             .map(|&(n, _)| n)
             .collect();
         let node = at_step[rng.pick(at_step.len())];
-        let fp = FaultPlan::new(7 + step as u64)
-            .with(FaultKind::HelperCrash { node, timestep: step });
+        let storm = pinned(
+            7 + step as u64,
+            &[FaultKind::HelperCrash {
+                node,
+                timestep: step,
+            }],
+        );
         let rec = TraceRecorder::default();
-        let out = execute_resilient(&plan, &ctx, &stripe, &rec, &fp, &fast_policy())
-            .unwrap_or_else(|e| panic!("crash node {node}@{step}: {e}"));
+        let mut tracker = HealthTracker::with_defaults();
+        let out = execute_supervised(
+            &ctx,
+            &stripe,
+            &rec,
+            &storm,
+            &cfg(fast_policy()),
+            &mut tracker,
+        )
+        .unwrap_or_else(|e| panic!("crash node {node}@{step}: {e}"));
         assert!(
             out.report.verified,
             "crash node {node}@{step}: mismatches {:?}",
@@ -157,9 +187,7 @@ fn exec_crash_at_every_timestep_recovers_byte_identically() {
         assert_eq!(out.replans, 1, "crash node {node}@{step}");
         let events = rec.take_events();
         assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, Event::Replanned { .. })),
+            events.iter().any(|e| matches!(e, Event::Replanned { .. })),
             "crash node {node}@{step}: no replanned event"
         );
         assert!(
@@ -214,10 +242,18 @@ fn exec_transient_faults_retry_and_verify() {
         },
     ];
     for kind in cases {
-        let fp = FaultPlan::new(9).with(kind.clone());
         let rec = TraceRecorder::default();
-        let out = execute_resilient(&plan, &ctx, &stripe, &rec, &fp, &fast_policy())
-            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        let mut tracker = HealthTracker::with_defaults();
+        let storm = pinned(9, &[kind]);
+        let out = execute_supervised(
+            &ctx,
+            &stripe,
+            &rec,
+            &storm,
+            &cfg(fast_policy()),
+            &mut tracker,
+        )
+        .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         assert!(out.report.verified, "{kind:?}: not verified");
         assert_eq!(out.retries, 1, "{kind:?}");
         assert_eq!(out.replans, 0, "{kind:?}");
@@ -242,12 +278,23 @@ fn sim_injected_trace_is_bit_deterministic() {
             .iter()
             .position(|op| matches!(op, Op::Send { .. }))
             .expect("plans start with sends");
-        let fp = FaultPlan::new(seed)
-            .with(FaultKind::TransferTimeout { op: send })
-            .with(FaultKind::HelperCrash { node, timestep });
+        let storm = pinned(
+            seed,
+            &[
+                FaultKind::TransferTimeout { op: send },
+                FaultKind::HelperCrash { node, timestep },
+            ],
+        );
         let rec = TraceRecorder::default();
-        simulate_injected(&plan, &ctx, &fp, &RetryPolicy::default(), &rec)
-            .expect("injected repair completes");
+        let mut tracker = HealthTracker::with_defaults();
+        supervise_injected(
+            &ctx,
+            &storm,
+            &SuperviseConfig::default(),
+            &mut tracker,
+            &rec,
+        )
+        .expect("injected repair completes");
         export::to_json_lines(&rec.take_events())
     };
     assert_eq!(run(17), run(17), "same seed must replay identically");
