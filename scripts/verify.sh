@@ -11,9 +11,11 @@
 #   3. cargo test -q --workspace
 #   4. cargo clippy --workspace --all-targets -- -D warnings
 #   5. cargo doc --no-deps --workspace   (rustdoc warnings are errors)
-#   6. chaos determinism: `rpr inject` twice per fixed seed must emit
+#   6. chaos determinism: `rpr inject` twice per fault family (crash,
+#      timeout, corrupt, slow, rack) and fixed seed must emit
 #      byte-identical JSONL traces (docs/ROBUSTNESS.md), with and
-#      without cut-through streaming (--chunk-size)
+#      without cut-through streaming (--chunk-size); one real-byte run
+#      per family (`--backend exec --block-mib 1`) must verify
 #   7. streaming collapse: at (6,3) the chunked `rpr plan` makespan must
 #      be strictly lower than the store-and-forward one
 #   8. chaos soak: the supervised 3-fault storm (`rpr chaos`, crash →
@@ -84,27 +86,38 @@ echo "==> RUSTDOCFLAGS='-D warnings' cargo doc $OFFLINE --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc $OFFLINE --no-deps --workspace
 
 # Step 6: the degraded (fault-injected) repair trace must be
-# bit-deterministic under a fixed seed — run the crash scenario twice per
+# bit-deterministic under a fixed seed — run every fault family twice per
 # seed and byte-compare the JSONL traces, both store-and-forward and with
-# cut-through streaming enabled.
+# cut-through streaming enabled — and the same single faults must be
+# survived on real bytes with a byte-verified reconstruction.
 CHAOS_DIR="target/chaos"
 mkdir -p "$CHAOS_DIR"
 RPR="target/release/rpr"
-for seed in 17 4242; do
-    for mode in block chunk; do
-        if [ "$mode" = chunk ]; then CHUNK="--chunk-size 8"; else CHUNK=""; fi
-        for rep in a b; do
-            echo "==> $RPR inject --code 6,3 --fail d1 --fault crash --seed $seed $CHUNK (run $rep)"
-            "$RPR" inject --code 6,3 --fail d1 --fault crash --seed "$seed" $CHUNK \
-                --out "$CHAOS_DIR/crash_s${seed}_${mode}_${rep}.jsonl" 2>/dev/null
+for fault in crash timeout corrupt slow rack; do
+    for seed in 17 4242; do
+        for mode in block chunk; do
+            if [ "$mode" = chunk ]; then CHUNK="--chunk-size 8"; else CHUNK=""; fi
+            for rep in a b; do
+                echo "==> $RPR inject --code 6,3 --fail d1 --fault $fault --seed $seed $CHUNK (run $rep)"
+                "$RPR" inject --code 6,3 --fail d1 --fault "$fault" --seed "$seed" $CHUNK \
+                    --out "$CHAOS_DIR/${fault}_s${seed}_${mode}_${rep}.jsonl" 2>/dev/null
+            done
+            if ! cmp -s "$CHAOS_DIR/${fault}_s${seed}_${mode}_a.jsonl" \
+                        "$CHAOS_DIR/${fault}_s${seed}_${mode}_b.jsonl"; then
+                echo "chaos determinism FAILED: $fault seed $seed ($mode) traces differ" >&2
+                exit 1
+            fi
+            echo "==> $fault trace for seed $seed ($mode) is byte-identical across runs"
         done
-        if ! cmp -s "$CHAOS_DIR/crash_s${seed}_${mode}_a.jsonl" \
-                    "$CHAOS_DIR/crash_s${seed}_${mode}_b.jsonl"; then
-            echo "chaos determinism FAILED: seed $seed ($mode) traces differ" >&2
-            exit 1
-        fi
-        echo "==> chaos trace for seed $seed ($mode) is byte-identical across runs"
     done
+    echo "==> $RPR inject --code 6,3 --fail d1 --fault $fault --backend exec --block-mib 1 --json"
+    "$RPR" inject --code 6,3 --fail d1 --fault "$fault" --backend exec --block-mib 1 --json \
+        > "$CHAOS_DIR/${fault}_exec.json" 2>/dev/null
+    if ! grep -q '"verified":true' "$CHAOS_DIR/${fault}_exec.json"; then
+        echo "exec injection FAILED: $fault did not verify" >&2
+        exit 1
+    fi
+    echo "==> $fault on real bytes verified"
 done
 
 # Step 7: cut-through streaming must strictly beat store-and-forward at
